@@ -1,21 +1,22 @@
-"""E13: cost-based planner vs. the greedy evaluator.
+"""E13: cost-based query planner throughput and plan-cache gates.
 
-Three measurements, three gates:
+Three measurements, two gates:
 
 * **Repeated-shape BGP workload** — S shapes x V constant variations x
-  R repeats against a synthetic store.  The cost planner compiles each
-  shape once and serves every variation/repeat from the plan cache; the
-  greedy evaluator re-plans (and re-counts selectivities) per call.
-  Gates: cost >= 1.5x greedy, plan-cache hit rate >= 90%.
+  R repeats against a synthetic store.  The planner compiles each shape
+  once and serves every variation/repeat from the plan cache.  Gate:
+  plan-cache hit rate >= 90%.
 * **Cold-plan overhead** — the extra latency of a plan-cache miss over
   a hit (ordering + shape hashing; step compilation runs on both
   paths), compared to the mean E6 translation latency measured in this
   same run.  Gate: overhead <= 5% of the translation mean.
 * **E9 repeated-question mix** — the WHERE clauses of every translated
-  corpus query, repeated round-robin as in E9's serving trace,
-  evaluated with each planner.  Gate: cost >= 1.0x greedy (a measurable
-  win on the serving mix), plus byte-identical translation output and
-  identical WHERE solution multisets across planner modes.
+  corpus query, repeated round-robin as in E9's serving trace.
+  Reported (throughput and hit rate), not gated.
+
+The planner's solutions are checked against a naive reference join in
+tier-1 (``tests/rdf/test_planner_properties.py`` and
+``tests/rdf/test_corpus_identity.py``), so this bench only times it.
 
 Results go to ``benchmarks/results/E13-planner.txt`` and (for the CI
 artifact) ``E13-planner.json``.
@@ -30,7 +31,7 @@ from repro.data.corpus import supported_questions
 from repro.eval.harness import format_table
 from repro.oassis.engine import OassisEngine
 from repro.rdf.planner import QueryPlanner
-from repro.rdf.sparql import TriplePattern, evaluate_bgp, iter_bgp
+from repro.rdf.sparql import TriplePattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Variable
 
@@ -42,10 +43,8 @@ VARIATIONS = 24
 REPEATS = 3
 E9_REPEATS = 4
 
-SPEEDUP_FLOOR = 1.5
 HIT_RATE_FLOOR = 0.90
 COLD_PLAN_CEILING = 0.05
-E9_FLOOR = 1.0
 
 
 def kb(name: str) -> IRI:
@@ -99,34 +98,17 @@ def drain(solutions) -> int:
     return sum(1 for _ in solutions)
 
 
-def canon(solutions):
-    return sorted(
-        tuple(sorted((k, str(v)) for k, v in s.items()))
-        for s in solutions
-    )
-
-
 def test_bench_planner(ontology, report_writer):
     store = synthetic_store()
     workload = shape_workload() * REPEATS
 
-    # -- repeated-shape workload: greedy vs cost --------------------------------
-    greedy_rows = 0
-    start = time.perf_counter()
-    for bgp in workload:
-        greedy_rows += drain(iter_bgp(store, bgp, planner="greedy"))
-    greedy_s = time.perf_counter() - start
-
+    # -- repeated-shape workload --------------------------------------------------
     planner = QueryPlanner()
-    cost_rows = 0
     start = time.perf_counter()
     for bgp in workload:
-        cost_rows += drain(planner.solutions(store, bgp))
+        drain(planner.solutions(store, bgp))
     cost_s = time.perf_counter() - start
-
-    assert cost_rows == greedy_rows
     snap = planner.snapshot()
-    speedup = greedy_s / cost_s
     hit_rate = snap.hit_rate
 
     # -- cold-plan overhead vs E6 translation latency ---------------------------
@@ -158,47 +140,21 @@ def test_bench_planner(ontology, report_writer):
         for q in queries if q.where
     ]
     mix = corpus_bgps * E9_REPEATS
-    start = time.perf_counter()
-    for bgp in mix:
-        drain(iter_bgp(ontology.store, bgp, planner="greedy"))
-    e9_greedy_s = time.perf_counter() - start
     mix_planner = QueryPlanner()
     start = time.perf_counter()
     for bgp in mix:
         drain(mix_planner.solutions(ontology.store, bgp))
     e9_cost_s = time.perf_counter() - start
-    e9_speedup = e9_greedy_s / e9_cost_s
     e9_hit_rate = mix_planner.snapshot().hit_rate
 
-    # -- byte-identical output across planner modes -----------------------------
-    greedy_texts = [
-        NL2CM(ontology=ontology, planner="greedy").translate(t).query_text
-        for t in texts
-    ]
-    cost_texts = [
-        NL2CM(ontology=ontology, planner="cost").translate(t).query_text
-        for t in texts
-    ]
-    identical_translations = greedy_texts == cost_texts
-    identical_solutions = all(
-        canon(evaluate_bgp(ontology.store, bgp, planner="greedy"))
-        == canon(evaluate_bgp(ontology.store, bgp, planner="cost"))
-        for bgp in corpus_bgps
-    )
-
     rows = [
-        ["repeated-shape greedy", len(workload), f"{greedy_s:.3f}",
-         f"{len(workload) / greedy_s:.0f}", "1.0x"],
-        ["repeated-shape cost", len(workload), f"{cost_s:.3f}",
-         f"{len(workload) / cost_s:.0f}", f"{speedup:.1f}x"],
-        ["E9-mix greedy", len(mix), f"{e9_greedy_s:.3f}",
-         f"{len(mix) / e9_greedy_s:.0f}", "1.0x"],
-        ["E9-mix cost", len(mix), f"{e9_cost_s:.3f}",
-         f"{len(mix) / e9_cost_s:.0f}", f"{e9_speedup:.2f}x"],
+        ["repeated-shape", len(workload), f"{cost_s:.3f}",
+         f"{len(workload) / cost_s:.0f}"],
+        ["E9-mix", len(mix), f"{e9_cost_s:.3f}",
+         f"{len(mix) / e9_cost_s:.0f}"],
     ]
-    table = format_table(
-        ["workload", "evaluations", "seconds", "eval/s", "speedup"], rows
-    )
+    table = format_table(["workload", "evaluations", "seconds", "eval/s"],
+                         rows)
     table += (
         f"\n\nplan cache: {snap.hits} hits / {snap.misses} misses / "
         f"{snap.invalidations} invalidated  "
@@ -207,17 +163,12 @@ def test_bench_planner(ontology, report_writer):
         f"\ncold-plan overhead: {cold_overhead_s * 1e6:.1f} us/query = "
         f"{cold_ratio:.2%} of the {translate_mean_s * 1000:.2f} ms mean "
         f"translation (ceiling {COLD_PLAN_CEILING:.0%})"
-        f"\ntranslations byte-identical across planners: "
-        f"{identical_translations}"
-        f"\nWHERE solution multisets identical: {identical_solutions}"
     )
     report_writer("E13-planner", table)
     (RESULTS_DIR / "E13-planner.json").write_text(json.dumps({
         "repeated_shape": {
             "evaluations": len(workload),
-            "greedy_seconds": round(greedy_s, 4),
             "cost_seconds": round(cost_s, 4),
-            "speedup": round(speedup, 2),
             "hit_rate": round(hit_rate, 4),
         },
         "cold_plan": {
@@ -227,29 +178,16 @@ def test_bench_planner(ontology, report_writer):
         },
         "e9_mix": {
             "evaluations": len(mix),
-            "greedy_seconds": round(e9_greedy_s, 4),
             "cost_seconds": round(e9_cost_s, 4),
-            "speedup": round(e9_speedup, 2),
             "hit_rate": round(e9_hit_rate, 4),
         },
-        "identical_translations": identical_translations,
-        "identical_solutions": identical_solutions,
     }, indent=2) + "\n", "utf-8")
 
-    assert identical_translations
-    assert identical_solutions
     assert hit_rate >= HIT_RATE_FLOOR, (
         f"plan-cache hit rate {hit_rate:.1%} below "
         f"{HIT_RATE_FLOOR:.0%}"
     )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"repeated-shape speedup {speedup:.2f}x below "
-        f"{SPEEDUP_FLOOR}x"
-    )
     assert cold_ratio <= COLD_PLAN_CEILING, (
         f"cold-plan overhead {cold_ratio:.2%} of mean translation "
         f"latency exceeds {COLD_PLAN_CEILING:.0%}"
-    )
-    assert e9_speedup >= E9_FLOOR, (
-        f"E9-mix speedup {e9_speedup:.2f}x below {E9_FLOOR}x"
     )

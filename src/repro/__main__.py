@@ -50,13 +50,10 @@ Query planning (see ``docs/performance.md``)::
 
     python -m repro --explain query.oql      # join order + cardinalities
     python -m repro --explain questions.txt  # translate, then explain
-    python -m repro --planner greedy --execute "question"   # A/B
 
 ``--explain`` sniffs the file like ``--lint`` and prints one plan panel
 per query: the chosen join order, estimated vs. actual per-step
-cardinalities, and whether the request hit the plan cache.  The
-``--planner`` mode ("cost" by default) selects the WHERE-clause
-evaluator for translation and ``--execute``.
+cardinalities, and whether the request hit the plan cache.
 
 Observability (see ``docs/observability.md``)::
 
@@ -153,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "translate first): join order, estimated "
                              "vs. actual cardinalities, plan-cache "
                              "outcome")
-    parser.add_argument("--planner", choices=("cost", "greedy"),
-                        default="cost",
-                        help="BGP evaluator for WHERE clauses: "
-                             "'cost' (statistics-ordered cached plans, "
-                             "default) or 'greedy' (per-call "
-                             "re-scoring, for A/B comparison)")
     parser.add_argument("--lint", metavar="FILE",
                         help="statically analyze FILE (an OASSIS-QL "
                              "query, or a question batch to translate "
@@ -251,16 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def demo_engine(ontology, size: int, seed: int,
-                registry: MetricsRegistry | None = None,
-                planner: str | None = None) -> OassisEngine:
+def demo_engine(nl2cm: NL2CM, size: int, seed: int,
+                registry: MetricsRegistry | None = None) -> OassisEngine:
+    """The demo crowd over ``nl2cm``'s ontology and query planner."""
     truth = GroundTruth(default=0.05)
     for scenario in (buffalo_travel_truth(), vegas_rides_truth(),
                      dietician_truth()):
         truth.supports.update(scenario.supports)
     crowd = SimulatedCrowd(truth, size=size, noise=0.08, seed=seed)
-    return OassisEngine(ontology, crowd, EngineConfig(),
-                        registry=registry, planner=planner)
+    return OassisEngine(nl2cm.ontology, crowd, EngineConfig(),
+                        registry=registry, planner=nl2cm.planner)
 
 
 def run_question(service: TranslationService, args, question: str,
@@ -461,7 +452,7 @@ def run_explain(args) -> int:
         if not questions:
             print("explain file contains no questions", file=sys.stderr)
             return 2
-        nl2cm = NL2CM(ontology=ontology, planner=args.planner)
+        nl2cm = NL2CM(ontology=ontology)
         queries = []
         for question in questions:
             try:
@@ -499,7 +490,6 @@ def run_serve(args) -> int:
     from repro.ui.admin import render_serving_stats
 
     spec = WorkerSpec(
-        planner=args.planner,
         cache_size=args.cache_size,
         retries=args.retries,
         seed=args.seed,
@@ -578,7 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     interaction = ConsoleInteraction() if args.interactive else None
     ontology = load_merged_ontology()
     nl2cm = NL2CM(ontology=ontology, interaction=interaction,
-                  planner=args.planner,
                   stage_timeout_ms=args.stage_timeout_ms)
 
     registry = MetricsRegistry()
@@ -602,8 +591,8 @@ def main(argv: list[str] | None = None) -> int:
         resilience=resilience,
     )
     engine = (
-        demo_engine(ontology, args.crowd_size, args.seed,
-                    registry=registry, planner=args.planner)
+        demo_engine(nl2cm, args.crowd_size, args.seed,
+                    registry=registry)
         if args.execute else None
     )
 

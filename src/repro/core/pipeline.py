@@ -116,33 +116,6 @@ class TranslationTrace(SpanRecorder):
             s.render(depth=self._depth(s)) for s in self.spans
         )
 
-    def timings(self) -> dict[str, float]:
-        """Stage name -> elapsed seconds, **last span wins** per name.
-
-        Stage names are unique in the pipeline's tree, so the caveat
-        only bites callers who reuse a name; those should key by span
-        id via :meth:`timings_by_span` instead.  Parent spans appear
-        with their covering duration — do not sum this dict (use
-        :meth:`leaf_timings` or :meth:`total_seconds`).
-        """
-        return {s.name: s.elapsed for s in self.spans}
-
-    def timings_by_span(self) -> dict[int, tuple[str, float]]:
-        """Span id -> (name, elapsed); duplicate-name safe."""
-        return {s.span_id: (s.name, s.elapsed) for s in self.spans}
-
-    def leaf_timings(self) -> dict[str, float]:
-        """Per-stage seconds summed over **leaf** spans only.
-
-        Leaves tile the tree without overlap, so
-        ``sum(leaf_timings().values()) <= total_seconds()`` holds by
-        construction.
-        """
-        out: dict[str, float] = {}
-        for span in self.leaves():
-            out[span.name] = out.get(span.name, 0.0) + span.elapsed
-        return out
-
     def total_seconds(self) -> float:
         """True wall-clock total: the root span's duration."""
         root = self.root
@@ -206,13 +179,6 @@ class NL2CM:
             (``kb_lint_report`` stays ``None``).  Repeated
             constructions over the same cached ontology reuse the
             memoized OntologyLint analysis.
-        planner: BGP evaluator for ontology queries made on behalf of
-            this translator (e.g. the OASSIS engine the demo builds for
-            the translated query): ``"cost"`` (default) creates a
-            dedicated :class:`~repro.rdf.planner.QueryPlanner` — cached,
-            statistics-ordered, compiled plans, with per-translator
-            cache counters — ``"greedy"`` keeps the seed per-call
-            greedy join for A/B comparison.
         tagger: the POS tagger behind the dependency parser:
             ``"rules"`` (default) keeps the deterministic rule/lexicon
             tagger — translation output is byte-identical to earlier
@@ -237,9 +203,6 @@ class NL2CM:
     #: Legal values of the ``kb_lint`` constructor argument.
     KB_LINT_MODES = ("error", "warn", "off")
 
-    #: Legal values of the ``planner`` constructor argument.
-    PLANNER_MODES = ("cost", "greedy")
-
     #: Legal values of the ``tagger`` constructor argument.
     TAGGER_MODES = ("rules", "learned")
 
@@ -252,7 +215,6 @@ class NL2CM:
         feedback: FeedbackStore | None = None,
         lint: str = "error",
         kb_lint: str = "warn",
-        planner: str = "cost",
         tagger: str = "rules",
         stage_timeout_ms: float | None = None,
     ):
@@ -265,11 +227,6 @@ class NL2CM:
                 f"kb_lint must be one of {self.KB_LINT_MODES}, "
                 f"got {kb_lint!r}"
             )
-        if planner not in self.PLANNER_MODES:
-            raise ValueError(
-                f"planner must be one of {self.PLANNER_MODES}, "
-                f"got {planner!r}"
-            )
         if tagger not in self.TAGGER_MODES:
             raise ValueError(
                 f"tagger must be one of {self.TAGGER_MODES}, "
@@ -278,11 +235,12 @@ class NL2CM:
         if stage_timeout_ms is not None and stage_timeout_ms < 0:
             raise ValueError("stage_timeout_ms must be non-negative")
         self.lint_mode = lint
-        self.planner_mode = planner
-        # A dedicated planner (not the process-wide default) so this
+        # The BGP planner for ontology queries made on behalf of this
+        # translator (e.g. the OASSIS engine that executes its output).
+        # A dedicated planner, not the process-wide default, so this
         # translator's plan-cache counters are its own — the service
         # layer surfaces them per instance.
-        self.planner = QueryPlanner() if planner == "cost" else None
+        self.planner = QueryPlanner()
         self.stage_timeout = (
             stage_timeout_ms / 1000.0 if stage_timeout_ms is not None
             else None

@@ -144,25 +144,14 @@ class OassisEngine:
         crowd: SimulatedCrowd,
         config: EngineConfig | None = None,
         registry: MetricsRegistry | None = None,
-        planner: str | QueryPlanner | None = None,
+        planner: QueryPlanner | None = None,
     ):
         self.ontology = ontology
         self.crowd = crowd
         self.config = config or EngineConfig()
-        # WHERE evaluator: None/"greedy" = the greedy per-call join,
-        # "cost" = the shared cost-based planner (plan cache included),
-        # or a QueryPlanner instance for a dedicated cache.
-        if isinstance(planner, str):
-            if planner == "greedy":
-                planner = None
-            elif planner == "cost":
-                planner = default_planner()
-            else:
-                raise ValueError(
-                    f"unknown planner {planner!r}; "
-                    "expected 'cost' or 'greedy'"
-                )
-        self.planner = planner
+        # WHERE evaluator: a dedicated QueryPlanner (its own plan cache
+        # and counters), or the process-wide shared one.
+        self.planner = planner or default_planner()
         # (member_id, fact_set.key()) -> answer; the crowd model is
         # deterministic per member, so repeated subclauses and repeated
         # queries need not recompute the simulated answer.

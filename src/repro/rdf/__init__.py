@@ -29,7 +29,6 @@ from repro.rdf.turtle import parse_turtle, serialize_turtle
 from repro.rdf.sparql import (
     SelectQuery,
     TriplePattern,
-    evaluate_bgp,
     iter_bgp,
     parse_sparql,
     sparql_select,
@@ -54,7 +53,6 @@ __all__ = [
     "TriplePattern",
     "parse_sparql",
     "sparql_select",
-    "evaluate_bgp",
     "iter_bgp",
     "QueryPlanner",
     "PlanExplain",

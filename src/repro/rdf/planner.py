@@ -1,10 +1,9 @@
 """Cost-based BGP query planner: statistics-driven join ordering,
 shape-keyed plan caching, and compiled step execution.
 
-The seed evaluator (:func:`repro.rdf.sparql.evaluate_bgp`) is greedy
-and forgetful: it re-scores selectivity with ``store.count()`` at every
-recursion node and throws the memo away when the call returns.  This
-module makes planning a first-class, persistent activity:
+This is the only basic-graph-pattern evaluator: every
+:func:`repro.rdf.sparql.iter_bgp` call runs through a
+:class:`QueryPlanner`.  Planning is a first-class, persistent activity:
 
 * **Cost model** — join order is chosen *once per query shape* from the
   store's incremental cardinality statistics
@@ -22,15 +21,15 @@ module makes planning a first-class, persistent activity:
   entries are invalidated by the store's mutation :attr:`epoch`.
 * **Compiled execution** — each plan step is compiled to a specialized
   closure that knows which index to probe, which positions to bind,
-  and which filters to run, replacing the interpretive
-  ``isinstance``-dispatch inner loop.  Execution is an explicit-stack
-  generator, so solutions **stream**: ``LIMIT``-style consumers stop
-  the join early instead of materializing every solution.
+  and which filters to run, with no per-binding ``isinstance``
+  dispatch.  Execution is an explicit-stack generator, so solutions
+  **stream**: ``LIMIT``-style consumers stop the join early instead of
+  materializing every solution, and join depth never touches the
+  interpreter's recursion limit.
 
 Filters are attached to the earliest step at which all their variables
-are bound (matching the seed's push-down); filters that mention a
-variable no pattern ever binds are never evaluated — also the seed's
-behavior.
+are bound; filters that mention a variable no pattern ever binds are
+never evaluated.
 """
 
 from __future__ import annotations
@@ -254,8 +253,7 @@ def _build_plan(
     # Filter attachment: the earliest step after which every variable
     # of the filter is bound.  Index -1 means "before the first step"
     # (constant filters, or filters over initially-bound variables);
-    # filters whose variables are never all bound are dropped — the
-    # seed evaluator never runs those either.
+    # filters whose variables are never all bound are dropped.
     bound_after: list[set[str]] = []
     acc = set(initial_vars)
     for i in order:
@@ -714,5 +712,5 @@ _DEFAULT_PLANNER = QueryPlanner()
 
 
 def default_planner() -> QueryPlanner:
-    """The process-wide shared planner (used by ``planner="cost"``)."""
+    """The process-wide shared planner (used when none is given)."""
     return _DEFAULT_PLANNER

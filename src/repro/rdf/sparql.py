@@ -10,14 +10,12 @@ and behind the FREyA-style general query generator.  Supported:
   ``STRSTARTS``, ``STR``, ``LCASE``, ``BOUND``;
 * ``ORDER BY [ASC|DESC](?x)``, ``LIMIT``, ``OFFSET``.
 
-Evaluation is a selectivity-ordered index-nested-loop join over the
-store's triple indexes, with filters pushed to the earliest point where
-their variables are bound.  Two evaluators share that contract: the
-*greedy* evaluator below (re-scores selectivity under the accumulated
-bindings at every join level) and the *cost-based* planner in
-:mod:`repro.rdf.planner` (orders once from store statistics and caches
-the compiled plan per query shape).  Both stream solutions, so
-``LIMIT`` without ``ORDER BY`` stops evaluation early.
+Basic graph patterns are evaluated by the cost-based planner in
+:mod:`repro.rdf.planner`: an index-nested-loop join over the store's
+triple indexes, ordered once from store statistics and cached per query
+shape, with filters pushed to the earliest point where their variables
+are bound.  Solutions stream, so ``LIMIT`` without ``ORDER BY`` stops
+evaluation early.
 """
 
 from __future__ import annotations
@@ -25,15 +23,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import SPARQLEvaluationError, SPARQLSyntaxError
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, RDF, Term, Variable
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.rdf.planner import QueryPlanner
+
 __all__ = [
     "TriplePattern", "FilterExpr", "SelectQuery", "parse_sparql",
-    "evaluate_bgp", "iter_bgp", "sparql_select", "Solution",
+    "iter_bgp", "sparql_select", "Solution",
 ]
 
 #: One solution row: variable name -> bound term.
@@ -486,177 +487,24 @@ def parse_sparql(text: str) -> SelectQuery:
 # Evaluator
 # ---------------------------------------------------------------------------
 
-def _substitute(pattern: TriplePattern, solution: Solution) -> TriplePattern:
-    def sub(term: Term) -> Term:
-        if isinstance(term, Variable) and term.name in solution:
-            return solution[term.name]
-        return term
-
-    return TriplePattern(sub(pattern.s), sub(pattern.p), sub(pattern.o))
-
-
-def _selectivity(store: TripleStore, pattern: TriplePattern) -> int:
-    s = None if isinstance(pattern.s, Variable) else pattern.s
-    p = None if isinstance(pattern.p, Variable) else pattern.p
-    o = None if isinstance(pattern.o, Variable) else pattern.o
-    return store.count(s, p, o)
-
-
-def _greedy_stream(
-    store: TripleStore,
-    patterns: Iterable[TriplePattern],
-    filters: Iterable[FilterExpr] = (),
-    initial: Solution | None = None,
-) -> Iterator[Solution]:
-    """Greedy selectivity-ordered join, streamed.
-
-    Pattern choice is re-scored under the accumulated bindings at every
-    join level (cheapest next, via memoized ``store.count``); filters
-    run as soon as every variable they mention is bound.  The join tree
-    is walked with an explicit stack of match iterators — depth is
-    bounded by the pattern count, never by the interpreter's recursion
-    limit — and solutions are yielded as the walk reaches the leaves,
-    so consumers can stop early.
-
-    The store must not be mutated while the evaluation runs: selectivity
-    counts are memoized per bound pattern for the duration of the call,
-    since the same (pattern, bindings) shape recurs across sibling
-    branches of the join tree.
-    """
-    pending_filters = [(f, frozenset(f.variables())) for f in filters]
-
-    count_cache: dict[tuple[Term | None, Term | None, Term | None], int] = {}
-
-    def counted(pattern: TriplePattern) -> int:
-        s = None if isinstance(pattern.s, Variable) else pattern.s
-        p = None if isinstance(pattern.p, Variable) else pattern.p
-        o = None if isinstance(pattern.o, Variable) else pattern.o
-        key = (s, p, o)
-        cached = count_cache.get(key)
-        if cached is None:
-            cached = count_cache[key] = store.count(s, p, o)
-        return cached
-
-    # A node is (solution, todo patterns, pending filters).  open_node
-    # resolves one node: None when a filter prunes it, an ("emit", sol)
-    # leaf, or ("children", iterator) whose items are child nodes.
-    def open_node(solution: Solution,
-                  todo: list[TriplePattern],
-                  unchecked: list[tuple[FilterExpr, frozenset[str]]]):
-        # Partition filters in one pass (by position, not O(n^2)
-        # equality scans) into those whose variables are now all bound
-        # and those still pending.
-        still_pending = unchecked
-        if unchecked:
-            bound_names = solution.keys()
-            still_pending = []
-            for entry in unchecked:
-                f, f_vars = entry
-                if f_vars <= bound_names:
-                    if not f.evaluate(solution):
-                        return None
-                else:
-                    still_pending.append(entry)
-        if not todo:
-            return ("emit", solution)
-        # Cheapest pattern next, under current bindings; min() is a
-        # single O(n) scan (no need to rank the rest — they are
-        # re-scored at the next join level anyway).
-        if len(todo) == 1:
-            chosen = todo[0]
-            rest: list[TriplePattern] = []
-        else:
-            chosen = min(
-                todo, key=lambda pt: counted(_substitute(pt, solution))
-            )
-            rest = [pt for pt in todo if pt is not chosen]
-        bound = _substitute(chosen, solution)
-        s = None if isinstance(bound.s, Variable) else bound.s
-        p = None if isinstance(bound.p, Variable) else bound.p
-        o = None if isinstance(bound.o, Variable) else bound.o
-
-        def children() -> Iterator[tuple]:
-            for ts, tp, to in store.triples(s, p, o):
-                new_solution = dict(solution)
-                ok = True
-                for term, value in (
-                    (bound.s, ts), (bound.p, tp), (bound.o, to)
-                ):
-                    if isinstance(term, Variable):
-                        if new_solution.get(term.name, value) != value:
-                            ok = False
-                            break
-                        new_solution[term.name] = value
-                if ok:
-                    yield (new_solution, rest, still_pending)
-
-        return ("children", children())
-
-    root = (dict(initial or {}), list(patterns), pending_filters)
-    stack: list[Iterator[tuple]] = [iter((root,))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        opened = open_node(*node)
-        if opened is None:
-            continue
-        kind, payload = opened
-        if kind == "emit":
-            yield payload
-        else:
-            stack.append(payload)
-
-
 def iter_bgp(
     store: TripleStore,
     patterns: Iterable[TriplePattern],
     filters: Iterable[FilterExpr] = (),
     initial: Solution | None = None,
-    planner=None,
+    planner: QueryPlanner | None = None,
 ) -> Iterator[Solution]:
     """Stream the solution mappings of a basic graph pattern.
 
-    ``planner`` selects the evaluator: ``None`` or ``"greedy"`` use the
-    greedy per-level re-scoring join; ``"cost"`` uses the process-wide
-    :func:`repro.rdf.planner.default_planner`; a
-    :class:`~repro.rdf.planner.QueryPlanner` instance uses that planner
-    (and its plan cache).  All evaluators produce the same solution
-    multiset; enumeration order may differ between them.
+    Evaluation runs through ``planner`` (and its plan cache), or the
+    process-wide :func:`repro.rdf.planner.default_planner` when
+    ``None``.
     """
-    if isinstance(planner, str):
-        if planner == "greedy":
-            planner = None
-        elif planner == "cost":
-            from repro.rdf.planner import default_planner
+    from repro.rdf.planner import default_planner  # planner imports us
 
-            planner = default_planner()
-        else:
-            raise ValueError(
-                f"unknown planner {planner!r}; "
-                "expected 'cost' or 'greedy'"
-            )
-    if planner is None:
-        return _greedy_stream(store, patterns, filters, initial)
-    return planner.solutions(store, patterns, filters, initial)
-
-
-def evaluate_bgp(
-    store: TripleStore,
-    patterns: Iterable[TriplePattern],
-    filters: Iterable[FilterExpr] = (),
-    initial: Solution | None = None,
-    planner=None,
-) -> list[Solution]:
-    """Evaluate a basic graph pattern; returns all solution mappings.
-
-    Patterns are joined in selectivity order (cheapest first, given the
-    bindings accumulated so far); filters run as soon as every variable
-    they mention is bound.  Materializing wrapper over
-    :func:`iter_bgp`; ``planner`` is forwarded unchanged.
-    """
-    return list(iter_bgp(store, patterns, filters, initial, planner))
+    return (planner or default_planner()).solutions(
+        store, patterns, filters, initial
+    )
 
 
 def _sort_key(term: Term):
@@ -681,7 +529,9 @@ def _distinct_stream(rows: Iterator[Solution]) -> Iterator[Solution]:
 
 
 def sparql_select(
-    store: TripleStore, query: str | SelectQuery, planner=None
+    store: TripleStore,
+    query: str | SelectQuery,
+    planner: QueryPlanner | None = None,
 ) -> list[Solution]:
     """Run a SELECT query; returns solution rows (dicts of bindings).
 

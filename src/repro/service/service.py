@@ -139,7 +139,7 @@ class ServiceStats:
         breaker_rejections: interaction calls rejected by an open
             circuit breaker.
         plan_cache_hits: BGP plan-cache hits of the translator's query
-            planner (zeros when the translator runs ``planner="greedy"``).
+            planner (``NL2CM.planner``).
         plan_cache_misses: plan-cache misses (first sight of a query
             shape), same scope.
         plan_cache_invalidations: cached plans dropped because the

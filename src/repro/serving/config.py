@@ -34,8 +34,6 @@ class WorkerSpec:
     """The per-shard service recipe.
 
     Attributes:
-        planner: WHERE-clause evaluator for the shard's translator
-            (``"cost"`` or ``"greedy"``; see ``docs/performance.md``).
         lint: query-lint mode of the shard's translator.
         kb_lint: construction-time knowledge-base lint mode.
         cache_size: translation-LRU capacity; ``0`` disables caching
@@ -61,7 +59,6 @@ class WorkerSpec:
             turn it on to occupy a shard deterministically.
     """
 
-    planner: str = "cost"
     lint: str = "error"
     kb_lint: str = "warn"
     cache_size: int = 256
@@ -97,7 +94,6 @@ class WorkerSpec:
 
         nl2cm = NL2CM(
             ontology=load_merged_ontology(),
-            planner=self.planner,
             lint=self.lint,
             kb_lint=self.kb_lint,
             stage_timeout_ms=self.stage_timeout_ms,

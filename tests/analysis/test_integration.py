@@ -71,8 +71,8 @@ class TestPipelineStage:
 
     def test_lint_stage_is_cheap(self, nl2cm):
         result = nl2cm.translate(QUESTION)
-        timings = result.trace.timings()
-        assert timings["query-lint"] < result.trace.total_seconds()
+        lint_span = result.trace.find("query-lint")
+        assert lint_span.elapsed < result.trace.total_seconds()
 
 
 def make_result(text, lint):

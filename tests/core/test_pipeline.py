@@ -196,9 +196,9 @@ class TestDisambiguationIntegration:
 class TestTimings:
     def test_trace_timings_are_positive(self, nl2cm):
         result = nl2cm.translate("Where do you visit in Buffalo?")
-        timings = result.trace.timings()
-        assert timings["nl-parsing"] >= 0
-        assert timings["general-query-generator"] >= 0
+        trace = result.trace
+        assert trace.find("nl-parsing").elapsed >= 0
+        assert trace.find("general-query-generator").elapsed >= 0
 
 
 class TestTaggerSelection:

@@ -237,39 +237,7 @@ class TestEngineEdgeCases:
 
 
 class TestPlannerModes:
-    """planner="cost" must be invisible in the engine's results."""
-
-    def canon(self, result):
-        return sorted(
-            (
-                tuple(sorted(
-                    (k, str(v)) for k, v in o.binding.items()
-                )),
-                tuple(sorted(o.supports.items())),
-                o.accepted,
-            )
-            for o in result.outcomes
-        )
-
-    def test_cost_and_greedy_agree_on_figure1(self, ontology):
-        query = parse_oassisql(FIGURE1)
-        results = {}
-        for mode in ("greedy", "cost"):
-            crowd = SimulatedCrowd(
-                buffalo_travel_truth(), size=120, noise=0.08, seed=11
-            )
-            engine = OassisEngine(
-                ontology, crowd, EngineConfig(), planner=mode
-            )
-            results[mode] = engine.evaluate(query)
-        greedy, cost = results["greedy"], results["cost"]
-        assert greedy.where_bindings == cost.where_bindings
-        assert greedy.tasks_used == cost.tasks_used
-        assert self.canon(greedy) == self.canon(cost)
-        assert (
-            sorted(map(str, greedy.bindings()))
-            == sorted(map(str, cost.bindings()))
-        )
+    """WHERE evaluation runs through the engine's query planner."""
 
     def test_dedicated_planner_records_cache_traffic(self, ontology):
         from repro.rdf.planner import QueryPlanner
@@ -283,8 +251,3 @@ class TestPlannerModes:
         snap = planner.snapshot()
         assert snap.misses == 1
         assert snap.hits == 1
-
-    def test_unknown_planner_mode_rejected(self, ontology):
-        crowd = SimulatedCrowd(buffalo_travel_truth(), size=10)
-        with pytest.raises(ValueError):
-            OassisEngine(ontology, crowd, planner="bogus")

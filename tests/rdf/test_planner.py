@@ -8,14 +8,10 @@ from repro.rdf.planner import (
     default_planner,
     query_shape,
 )
-from repro.rdf.sparql import (
-    FilterExpr,
-    TriplePattern,
-    evaluate_bgp,
-    iter_bgp,
-)
+from repro.rdf.sparql import FilterExpr, TriplePattern, iter_bgp
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Variable
+from tests.rdf.reference import canon, reference_bgp
 
 
 KB = "http://x/"
@@ -25,13 +21,6 @@ PLACE = IRI(KB + "Place")
 
 def iri(name):
     return IRI(KB + name)
-
-
-def canon(solutions):
-    return sorted(
-        tuple(sorted((k, str(v)) for k, v in s.items()))
-        for s in solutions
-    )
 
 
 @pytest.fixture
@@ -202,27 +191,27 @@ class TestPlanQuality:
             FilterExpr("term", (Literal("Place 0"),)),
         ))
         results = list(planner.solutions(store, BGP, filters=[flt]))
-        expected = evaluate_bgp(store, BGP, filters=[flt])
+        expected = reference_bgp(store, BGP, filters=[flt])
         assert canon(results) == canon(expected)
         assert all(s["l"] != Literal("Place 0") for s in results)
 
     def test_never_bindable_filter_is_dropped(self, store):
-        # Seed parity: a filter over a variable no pattern binds is
-        # silently ignored, not an error.
+        # A filter over a variable no pattern binds is silently
+        # ignored, not an error.
         flt = FilterExpr("cmp", (
             "=", FilterExpr("var", ("ghost",)),
             FilterExpr("term", (iri("a"),)),
         ))
         planner = QueryPlanner()
         fast = list(planner.solutions(store, BGP, filters=[flt]))
-        slow = evaluate_bgp(store, BGP, filters=[flt])
+        slow = reference_bgp(store, BGP, filters=[flt])
         assert canon(fast) == canon(slow)
 
     def test_initial_bindings(self, store):
         planner = QueryPlanner()
         initial = {"x": iri("place3")}
         fast = list(planner.solutions(store, BGP, initial=initial))
-        slow = evaluate_bgp(store, BGP, initial=initial)
+        slow = reference_bgp(store, BGP, initial=initial)
         assert canon(fast) == canon(slow)
         assert len(fast) == 1
 
@@ -231,14 +220,14 @@ class TestPlanQuality:
         bgp = [TriplePattern(Variable("x"), NEAR, Variable("x"))]
         planner = QueryPlanner()
         fast = list(planner.solutions(store, bgp))
-        assert canon(fast) == canon(evaluate_bgp(store, bgp))
+        assert canon(fast) == canon(reference_bgp(store, bgp))
         assert fast == [{"x": iri("loop")}]
 
     def test_variable_predicate(self, store):
         bgp = [TriplePattern(iri("hotel"), Variable("p"), Variable("o"))]
         planner = QueryPlanner()
         fast = list(planner.solutions(store, bgp))
-        assert canon(fast) == canon(evaluate_bgp(store, bgp))
+        assert canon(fast) == canon(reference_bgp(store, bgp))
 
     def test_empty_bgp_yields_initial_solution(self, store):
         planner = QueryPlanner()
@@ -246,24 +235,24 @@ class TestPlanQuality:
 
 
 class TestIterBgpDispatch:
-    def test_string_modes(self, store):
-        greedy = list(iter_bgp(store, BGP, planner="greedy"))
-        cost = list(iter_bgp(store, BGP, planner="cost"))
-        assert canon(greedy) == canon(cost)
+    def test_default_planner_when_none_given(self, store):
+        before = default_planner().snapshot()
+        solutions = list(iter_bgp(store, BGP))
+        after = default_planner().snapshot()
+        assert canon(solutions) == canon(reference_bgp(store, BGP))
+        assert (after.hits + after.misses) - (
+            before.hits + before.misses
+        ) == 1
 
     def test_planner_instance(self, store):
         planner = QueryPlanner()
         list(iter_bgp(store, BGP, planner=planner))
         assert planner.snapshot().misses == 1
 
-    def test_unknown_mode_rejected(self, store):
-        with pytest.raises(ValueError):
-            iter_bgp(store, BGP, planner="quantum")
-
     def test_streaming_stops_early(self, store):
         # Pulling two solutions must not run the join to completion:
         # the generator yields lazily off the explicit stack.
-        it = iter_bgp(store, BGP, planner="cost")
+        it = iter_bgp(store, BGP)
         first = next(it)
         second = next(it)
         assert first != second
@@ -277,7 +266,7 @@ class TestExplain:
         assert explain.cache == "miss"
         assert sorted(explain.order) == [0, 1, 2]
         assert len(explain.steps) == 3
-        assert explain.rows == len(evaluate_bgp(store, BGP))
+        assert explain.rows == len(reference_bgp(store, BGP))
         assert explain.steps[-1].output_rows == explain.rows
         rendered = explain.render()
         assert "join order" in rendered

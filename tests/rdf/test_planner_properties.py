@@ -1,9 +1,10 @@
-"""Property-based tests: compiled plans vs. the greedy evaluator, and
+"""Property-based tests: compiled plans vs. a naive reference join, and
 store statistics vs. recount-from-scratch.
 
 The cost-based planner compiles specialized per-step closures and joins
-in a statistics-chosen order; the greedy evaluator re-scores per level
-and dispatches interpretively.  On random stores and random BGPs (with
+in a statistics-chosen order; the reference evaluator
+(:mod:`tests.rdf.reference`) nested-loops over every triple in pattern
+order and filters at the end.  On random stores and random BGPs (with
 filters and initial bindings) the two must produce the same solution
 multiset.  Separately, the incrementally-maintained statistics must
 equal a recount from the raw indexes after arbitrary add/remove churn.
@@ -12,9 +13,10 @@ equal a recount from the raw indexes after arbitrary add/remove churn.
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf.planner import QueryPlanner
-from repro.rdf.sparql import FilterExpr, TriplePattern, evaluate_bgp
+from repro.rdf.sparql import FilterExpr, TriplePattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Variable
+from tests.rdf.reference import canon, reference_bgp
 
 
 IRIS = [IRI(f"http://x/{name}") for name in "abcdefg"]
@@ -36,22 +38,14 @@ pattern_predicates = st.one_of(
 patterns = st.builds(TriplePattern, terms, pattern_predicates, terms)
 
 
-def canon(solutions):
-    return sorted(
-        tuple(sorted((k, str(v)) for k, v in s.items()))
-        for s in solutions
-    )
-
-
-class TestCompiledAgainstGreedy:
+class TestCompiledAgainstReference:
     @given(st.lists(triples, max_size=25),
            st.lists(patterns, min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_bgp_join_agrees(self, data, bgp):
         store = TripleStore(data)
         compiled = list(QueryPlanner().solutions(store, bgp))
-        greedy = evaluate_bgp(store, bgp)
-        assert canon(compiled) == canon(greedy)
+        assert canon(compiled) == canon(reference_bgp(store, bgp))
 
     @given(st.lists(triples, max_size=25),
            st.lists(patterns, min_size=1, max_size=3),
@@ -66,8 +60,8 @@ class TestCompiledAgainstGreedy:
         compiled = list(
             QueryPlanner().solutions(store, bgp, filters=[flt])
         )
-        greedy = evaluate_bgp(store, bgp, filters=[flt])
-        assert canon(compiled) == canon(greedy)
+        expected = reference_bgp(store, bgp, filters=[flt])
+        assert canon(compiled) == canon(expected)
 
     @given(st.lists(triples, max_size=25),
            st.lists(patterns, min_size=1, max_size=3),
@@ -79,8 +73,8 @@ class TestCompiledAgainstGreedy:
         compiled = list(
             QueryPlanner().solutions(store, bgp, initial=initial)
         )
-        greedy = evaluate_bgp(store, bgp, initial=initial)
-        assert canon(compiled) == canon(greedy)
+        expected = reference_bgp(store, bgp, initial=initial)
+        assert canon(compiled) == canon(expected)
 
     @given(st.lists(triples, min_size=5, max_size=30),
            st.lists(patterns, min_size=1, max_size=3),
@@ -96,8 +90,7 @@ class TestCompiledAgainstGreedy:
             if not store.remove(s, p, o):
                 store.add(s, p, o)
         compiled = list(planner.solutions(store, bgp))
-        greedy = evaluate_bgp(store, bgp)
-        assert canon(compiled) == canon(greedy)
+        assert canon(compiled) == canon(reference_bgp(store, bgp))
 
 
 def recount(store):

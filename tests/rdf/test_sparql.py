@@ -252,14 +252,6 @@ class TestStreaming:
         rows = sparql_select(store, query)
         assert rows[0]["x"] == kb("Niagara_Falls")
 
-    def test_planner_modes_agree_on_select(self, store):
-        query = (PREFIX + "SELECT ?x ?r WHERE "
-                 "{ ?x kb:instanceOf kb:Place . ?x kb:rating ?r } "
-                 "ORDER BY DESC(?r)")
-        greedy = sparql_select(store, query, planner="greedy")
-        cost = sparql_select(store, query, planner="cost")
-        assert greedy == cost
-
     def test_hundred_pattern_chain_needs_no_recursion(self):
         # One pattern per joined variable used to recurse once per
         # pattern; the explicit stack must evaluate a 100-pattern
@@ -267,7 +259,7 @@ class TestStreaming:
         # have blown through.
         import sys
 
-        from repro.rdf.sparql import TriplePattern, evaluate_bgp
+        from repro.rdf.sparql import TriplePattern, iter_bgp
         from repro.rdf.store import TripleStore
         from repro.rdf.terms import Variable
 
@@ -283,9 +275,8 @@ class TestStreaming:
         limit = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(90)
-            for planner in ("greedy", "cost"):
-                solutions = evaluate_bgp(store, chain, planner=planner)
-                assert len(solutions) == 2
-                assert all(len(s) == n + 1 for s in solutions)
+            solutions = list(iter_bgp(store, chain))
+            assert len(solutions) == 2
+            assert all(len(s) == n + 1 for s in solutions)
         finally:
             sys.setrecursionlimit(limit)

@@ -1,17 +1,18 @@
 """Property-based tests: the SPARQL evaluator vs. a naive reference.
 
 The production evaluator joins patterns in selectivity order with filter
-push-down; the reference implementation below does the dumbest possible
-thing (enumerate all triples per pattern, nested-loop join, filter at
-the end).  On random stores and random basic graph patterns the two must
-agree exactly.
+push-down; the reference implementation (:mod:`tests.rdf.reference`)
+does the dumbest possible thing (enumerate all triples per pattern,
+nested-loop join, filter at the end).  On random stores and random basic
+graph patterns the two must agree exactly.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf.sparql import FilterExpr, TriplePattern, evaluate_bgp
+from repro.rdf.sparql import FilterExpr, TriplePattern, iter_bgp
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Variable
+from tests.rdf.reference import canon, reference_bgp
 
 
 IRIS = [IRI(f"http://x/{name}") for name in "abcdefg"]
@@ -33,45 +34,13 @@ pattern_predicates = st.one_of(
 patterns = st.builds(TriplePattern, terms, pattern_predicates, terms)
 
 
-def reference_bgp(store, bgp):
-    """Naive nested-loop join, no ordering, no push-down."""
-    solutions = [dict()]
-    for pattern in bgp:
-        next_solutions = []
-        for sol in solutions:
-            for s, p, o in store.triples():
-                candidate = dict(sol)
-                ok = True
-                for term, value in ((pattern.s, s), (pattern.p, p),
-                                    (pattern.o, o)):
-                    if isinstance(term, Variable):
-                        if candidate.get(term.name, value) != value:
-                            ok = False
-                            break
-                        candidate[term.name] = value
-                    elif term != value:
-                        ok = False
-                        break
-                if ok:
-                    next_solutions.append(candidate)
-        solutions = next_solutions
-    return solutions
-
-
-def canon(solutions):
-    return sorted(
-        tuple(sorted((k, str(v)) for k, v in s.items()))
-        for s in solutions
-    )
-
-
 class TestEvaluatorAgainstReference:
     @given(st.lists(triples, max_size=25),
            st.lists(patterns, min_size=1, max_size=3))
     @settings(max_examples=120, deadline=None)
     def test_bgp_join_agrees_with_reference(self, data, bgp):
         store = TripleStore(data)
-        fast = evaluate_bgp(store, bgp)
+        fast = list(iter_bgp(store, bgp))
         slow = reference_bgp(store, bgp)
         assert canon(fast) == canon(slow)
 
@@ -90,7 +59,7 @@ class TestEvaluatorAgainstReference:
         flt = FilterExpr("cmp", (
             "=", FilterExpr("var", ("u",)), FilterExpr("term", (pinned,)),
         ))
-        fast = evaluate_bgp(store, bgp, filters=[flt])
+        fast = list(iter_bgp(store, bgp, filters=[flt]))
         slow = [
             s for s in reference_bgp(store, bgp) if s.get("u") == pinned
         ]
@@ -102,11 +71,11 @@ class TestEvaluatorAgainstReference:
         store = TripleStore(data)
         missing = IRI("http://x/never-used")
         bgp = [TriplePattern(Variable("s"), missing, Variable("o"))]
-        assert evaluate_bgp(store, bgp) == []
+        assert list(iter_bgp(store, bgp)) == []
 
     @given(st.lists(triples, min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_fully_open_pattern_returns_every_triple(self, data):
         store = TripleStore(data)
         bgp = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
-        assert len(evaluate_bgp(store, bgp)) == len(store)
+        assert len(list(iter_bgp(store, bgp))) == len(store)

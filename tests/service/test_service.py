@@ -284,7 +284,7 @@ class TestPlannerStats:
         from repro.rdf.sparql import TriplePattern
         from repro.rdf.terms import Variable
 
-        nl2cm = NL2CM(ontology=ontology, planner="cost")
+        nl2cm = NL2CM(ontology=ontology)
         service = TranslationService(nl2cm, cache=None)
         bgp = [TriplePattern(
             Variable("x"), IRI("http://repro.example/kb/instanceOf"),
@@ -301,21 +301,12 @@ class TestPlannerStats:
         cache = service.registry.get("planner_plan_cache_total")
         assert cache.value(result="hit") == 1
 
-    def test_greedy_translator_reports_zero_plan_traffic(self, ontology):
-        service = TranslationService(
-            NL2CM(ontology=ontology, planner="greedy"), cache=None
-        )
-        service.translate("Where do you visit in Buffalo?")
-        stats = service.stats()
-        assert stats.plans_compiled == 0
-        assert stats.plan_cache_hit_rate == 0.0
-
     def test_admin_panel_shows_plan_line(self, ontology):
         from repro.rdf.sparql import TriplePattern
         from repro.rdf.terms import Variable
         from repro.ui.admin import render_service_stats
 
-        nl2cm = NL2CM(ontology=ontology, planner="cost")
+        nl2cm = NL2CM(ontology=ontology)
         service = TranslationService(nl2cm, cache=None)
         bgp = [TriplePattern(
             Variable("x"), IRI("http://repro.example/kb/instanceOf"),
@@ -324,7 +315,3 @@ class TestPlannerStats:
         list(nl2cm.planner.solutions(ontology.store, bgp))
         panel = render_service_stats(service.stats())
         assert "query plans: 1 compiled" in panel
-
-    def test_planner_mode_validation(self, ontology):
-        with pytest.raises(ValueError):
-            NL2CM(ontology=ontology, planner="fastest")

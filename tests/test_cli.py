@@ -44,7 +44,6 @@ class TestMainFunction:
         args = build_parser().parse_args(["hello"])
         assert args.crowd_size == 120
         assert not args.execute
-        assert args.planner == "cost"
 
     def test_explain_question_file(self, tmp_path, capsys):
         batch = tmp_path / "questions.txt"
@@ -84,13 +83,25 @@ class TestMainFunction:
         assert status == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_planner_greedy_translates_identically(self, capsys):
-        question = "Where do you visit in Buffalo?"
-        assert main(["--planner", "greedy", question]) == 0
-        greedy_out = capsys.readouterr().out
-        assert main(["--planner", "cost", question]) == 0
-        cost_out = capsys.readouterr().out
-        assert greedy_out == cost_out
+    def test_execute_records_plan_traffic_in_metrics(
+        self, tmp_path, capsys
+    ):
+        # The --execute engine must evaluate WHERE clauses through the
+        # translator's planner, whose counters the service exports.
+        from repro.obs import parse_prometheus_text
+
+        metrics_file = tmp_path / "m.prom"
+        status = main([
+            "--execute", "--crowd-size", "40",
+            "--metrics-out", str(metrics_file),
+            "Where do you visit in Buffalo?",
+        ])
+        capsys.readouterr()
+        assert status == 0
+        metrics = parse_prometheus_text(metrics_file.read_text("utf-8"))
+        samples = metrics["planner_plan_cache_total"]["samples"]
+        key = ("planner_plan_cache_total", (("result", "miss"),))
+        assert samples.get(key, 0) >= 1
 
 
 class TestServeMode:
