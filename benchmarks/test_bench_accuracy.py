@@ -1,14 +1,12 @@
-"""E15: per-domain accuracy of the NLP substrate, rules vs. learned.
+"""E15: per-domain accuracy of the rules tagger and the NLP substrate.
 
 The paper evaluates translation quality on questions from a handful of
 domains (Section 4.1); this experiment tracks the *inputs* to that
 claim per scenario pack: POS accuracy (with a known/unknown split),
-dependency attachment (UAS/LAS) and gold-query agreement — each
-computed for the hand-tuned rules tagger and the trained perceptron so
-the two can be A/B-compared.
+dependency attachment (UAS/LAS) and gold-query agreement.
 
 The floors are seeded a few points under the measured numbers
-(EXPERIMENTS.md records the reference run); a regression in either
+(EXPERIMENTS.md records the reference run); a regression in the
 tagger, the parser or any pack's corpus trips them.
 """
 
@@ -31,41 +29,26 @@ def test_bench_accuracy(benchmark, report_writer):
     report = benchmark(evaluate_accuracy)
     total = report.totals()
 
-    # Whole-corpus floors (measured 2026-08-07: rules POS .939,
-    # rules LAS .934, learned POS 1.000, learned LAS .983).
-    rules_pos = total.pos["rules"]
-    assert rules_pos.accuracy >= 0.92
-    assert rules_pos.known_accuracy >= 0.95
-    assert total.parse["rules"].uas >= 0.92
-    assert total.parse["rules"].las >= 0.90
-    assert total.pos["learned"].accuracy >= 0.99
-    assert total.parse["learned"].las >= 0.95
+    # Whole-corpus floors (measured 2026-08-07: POS .939, LAS .934).
+    assert total.pos.accuracy >= 0.92
+    assert total.pos.known_accuracy >= 0.95
+    assert total.parse.uas >= 0.92
+    assert total.parse.las >= 0.90
 
     # Nothing silently drops out of the evaluation.
-    for mode in report.taggers:
-        assert total.pos[mode].skipped == 0
-        assert total.parse[mode].skipped == 0
-        assert total.translation[mode].failures == 0
+    assert total.pos.skipped == 0
+    assert total.parse.skipped == 0
+    assert total.translation.failures == 0
 
     # Per-pack floors.
     for pack in report.packs:
-        assert pack.pos["rules"].accuracy >= 0.85, pack.name
-        assert pack.parse["rules"].las >= 0.70, pack.name
-        exact = pack.translation["rules"].exact_rate
+        assert pack.pos.accuracy >= 0.85, pack.name
+        assert pack.parse.las >= 0.70, pack.name
+        exact = pack.translation.exact_rate
         if pack.name in DOMAIN_SLICES:
             assert exact == 1.0, pack.name
         else:
             assert exact >= PACK_EXACT_FLOORS[pack.name], pack.name
-
-    # The A/B claim: training on the packs' gold beats the hand-tuned
-    # lexicon on their own corpora, end to end.
-    rules_exact = total.translation["rules"].exact
-    learned_exact = total.translation["learned"].exact
-    assert learned_exact >= rules_exact
-    assert (
-        total.translation["learned"].structure_avg
-        >= total.translation["rules"].structure_avg
-    )
 
     report_writer("E15-accuracy", report.format())
     report.write_json(RESULTS_DIR / "E15-accuracy.json")
@@ -78,5 +61,4 @@ def test_bench_accuracy_covers_every_builtin_pack():
     assert set(DOMAIN_SLICES) <= set(names)
     assert set(PACK_EXACT_FLOORS) <= set(names)
     for pack in report.packs:
-        for mode in report.taggers:
-            assert pack.translation[mode].gold_queries > 0, pack.name
+        assert pack.translation.gold_queries > 0, pack.name

@@ -43,8 +43,7 @@ Accuracy scoring (see ``docs/scenarios.md``)::
 (:mod:`repro.eval.accuracy`) over every builtin scenario pack (or the
 one named by ``--pack``): POS accuracy with a known/unknown split and
 confusion matrix, dependency UAS/LAS, and gold-query translation
-quality — each computed for both the rules tagger and the trained
-perceptron, so the two can be A/B-compared.
+quality against each pack's gold queries.
 
 Query planning (see ``docs/performance.md``)::
 

@@ -179,13 +179,6 @@ class NL2CM:
             (``kb_lint_report`` stays ``None``).  Repeated
             constructions over the same cached ontology reuse the
             memoized OntologyLint analysis.
-        tagger: the POS tagger behind the dependency parser:
-            ``"rules"`` (default) keeps the deterministic rule/lexicon
-            tagger — translation output is byte-identical to earlier
-            releases — while ``"learned"`` swaps in the shared averaged
-            perceptron trained on the builtin packs' gold corpora
-            (:func:`~repro.nlp.learned.default_learned_tagger`), for
-            A/B comparison via the accuracy harness.
         stage_timeout_ms: per-stage time budget.  Each stage span gets a
             :class:`~repro.resilience.Deadline`; a stage that exceeds it
             raises :class:`~repro.errors.DeadlineExceeded` (a typed
@@ -203,9 +196,6 @@ class NL2CM:
     #: Legal values of the ``kb_lint`` constructor argument.
     KB_LINT_MODES = ("error", "warn", "off")
 
-    #: Legal values of the ``tagger`` constructor argument.
-    TAGGER_MODES = ("rules", "learned")
-
     def __init__(
         self,
         ontology: Ontology | None = None,
@@ -215,7 +205,6 @@ class NL2CM:
         feedback: FeedbackStore | None = None,
         lint: str = "error",
         kb_lint: str = "warn",
-        tagger: str = "rules",
         stage_timeout_ms: float | None = None,
     ):
         if lint not in self.LINT_MODES:
@@ -226,11 +215,6 @@ class NL2CM:
             raise ValueError(
                 f"kb_lint must be one of {self.KB_LINT_MODES}, "
                 f"got {kb_lint!r}"
-            )
-        if tagger not in self.TAGGER_MODES:
-            raise ValueError(
-                f"tagger must be one of {self.TAGGER_MODES}, "
-                f"got {tagger!r}"
             )
         if stage_timeout_ms is not None and stage_timeout_ms < 0:
             raise ValueError("stage_timeout_ms must be non-negative")
@@ -248,18 +232,7 @@ class NL2CM:
         self.ontology = ontology or load_merged_ontology()
         self.interaction = interaction or AutoInteraction()
         self.verifier = Verifier()
-        self.tagger_mode = tagger
-        if tagger == "learned":
-            # Imported lazily: training (cached per process) pulls in
-            # the scenario-pack loader, which this module must not
-            # depend on at import time.
-            from repro.nlp.learned import default_learned_tagger
-
-            self.parser = DependencyParser(
-                tagger=default_learned_tagger()
-            )
-        else:
-            self.parser = DependencyParser()
+        self.parser = DependencyParser()
         self.finder = IXFinder(patterns, vocabularies)
         self.creator = IXCreator(
             ontology=self.ontology,

@@ -14,10 +14,8 @@ pack ships in ``gold_nlp.conll``:
   similarity (:func:`~repro.eval.metrics.query_structure_score`) over
   the pack's own corpus.
 
-Every metric is computed once per *tagger mode* (``rules`` — the
-hand-tuned lexicon tagger — and ``learned`` — the averaged perceptron
-of :mod:`repro.nlp.learned`), so the two can be A/B-compared on equal
-footing.  The CLI front door is ``python -m repro --score``.
+Every metric scores the rule tagger (:class:`~repro.nlp.postag.PosTagger`)
+the pipeline runs.  The CLI front door is ``python -m repro --score``.
 """
 
 from __future__ import annotations
@@ -32,29 +30,14 @@ from repro.errors import ReproError
 from repro.eval.harness import format_table
 from repro.eval.metrics import query_structure_score
 from repro.nlp.depparse import DependencyParser
+from repro.nlp.postag import PosTagger
 from repro.nlp.tokenizer import tokenize
 
 __all__ = [
     "PosAccuracy", "ParseAccuracy", "TranslationAccuracy",
     "PackAccuracy", "AccuracyReport", "score_pos", "score_parse",
     "score_translation", "score_pack", "evaluate_accuracy",
-    "TAGGER_MODES",
 ]
-
-#: The tagger modes every metric is computed for, in report order.
-TAGGER_MODES = ("rules", "learned")
-
-
-def _make_tagger(mode: str):
-    if mode == "rules":
-        from repro.nlp.postag import PosTagger
-
-        return PosTagger()
-    if mode == "learned":
-        from repro.nlp.learned import default_learned_tagger
-
-        return default_learned_tagger()
-    raise ValueError(f"unknown tagger mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +234,7 @@ class TranslationAccuracy:
         self.failures += other.failures
 
 
-def score_translation(
-    pack: ScenarioPack, tagger: str = "rules"
-) -> TranslationAccuracy:
+def score_translation(pack: ScenarioPack) -> TranslationAccuracy:
     """Translate the pack's supported questions; score against gold."""
     from repro.core.pipeline import NL2CM
     from repro.oassisql.parser import parse_oassisql
@@ -265,7 +246,6 @@ def score_translation(
         patterns=pack.patterns,
         vocabularies=pack.vocabularies,
         interaction=AutoInteraction(),
-        tagger=tagger,
     )
     acc = TranslationAccuracy()
     for question in pack.corpus:
@@ -296,29 +276,24 @@ def score_translation(
 
 @dataclass
 class PackAccuracy:
-    """Every accuracy surface of one pack, keyed by tagger mode."""
+    """Every accuracy surface of one pack."""
 
     name: str
-    pos: dict[str, PosAccuracy] = field(default_factory=dict)
-    parse: dict[str, ParseAccuracy] = field(default_factory=dict)
-    translation: dict[str, TranslationAccuracy] = field(
-        default_factory=dict
+    pos: PosAccuracy = field(default_factory=PosAccuracy)
+    parse: ParseAccuracy = field(default_factory=ParseAccuracy)
+    translation: TranslationAccuracy = field(
+        default_factory=TranslationAccuracy
     )
 
 
-def score_pack(
-    pack: ScenarioPack, taggers: tuple[str, ...] = TAGGER_MODES
-) -> PackAccuracy:
-    """Score one pack on every surface, once per tagger mode."""
-    result = PackAccuracy(name=pack.name)
-    for mode in taggers:
-        tagger = _make_tagger(mode)
-        result.pos[mode] = score_pos(tagger, pack.gold_nlp)
-        result.parse[mode] = score_parse(
-            DependencyParser(tagger=tagger), pack.gold_nlp
-        )
-        result.translation[mode] = score_translation(pack, tagger=mode)
-    return result
+def score_pack(pack: ScenarioPack) -> PackAccuracy:
+    """Score one pack on every surface."""
+    return PackAccuracy(
+        name=pack.name,
+        pos=score_pos(PosTagger(), pack.gold_nlp),
+        parse=score_parse(DependencyParser(), pack.gold_nlp),
+        translation=score_translation(pack),
+    )
 
 
 @dataclass
@@ -326,19 +301,14 @@ class AccuracyReport:
     """The full accuracy report: per-pack scores plus totals."""
 
     packs: list[PackAccuracy]
-    taggers: tuple[str, ...] = TAGGER_MODES
 
     def totals(self) -> PackAccuracy:
-        """Aggregate counts over every pack, for every tagger mode."""
+        """Aggregate counts over every pack."""
         total = PackAccuracy(name="ALL")
-        for mode in self.taggers:
-            total.pos[mode] = PosAccuracy()
-            total.parse[mode] = ParseAccuracy()
-            total.translation[mode] = TranslationAccuracy()
-            for pack in self.packs:
-                total.pos[mode].add(pack.pos[mode])
-                total.parse[mode].add(pack.parse[mode])
-                total.translation[mode].add(pack.translation[mode])
+        for pack in self.packs:
+            total.pos.add(pack.pos)
+            total.parse.add(pack.parse)
+            total.translation.add(pack.translation)
         return total
 
     def pack(self, name: str) -> PackAccuracy:
@@ -351,10 +321,10 @@ class AccuracyReport:
 
     def format(self) -> str:
         blocks = [
-            "POS tagging accuracy (per pack and tagger)",
+            "POS tagging accuracy (per pack)",
             self._format_pos(),
             "",
-            "Dependency attachment (per pack and tagger)",
+            "Dependency attachment (per pack)",
             self._format_parse(),
             "",
             "Translation quality vs. gold queries",
@@ -362,26 +332,21 @@ class AccuracyReport:
         ]
         confusion = self._format_confusion()
         if confusion:
-            blocks += ["", "Top confusions (rules tagger, all packs)",
+            blocks += ["", "Top confusions (all packs)",
                        confusion]
         return "\n".join(blocks)
 
-    def _rows(self):
-        for pack in self.packs:
-            for mode in self.taggers:
-                yield pack, mode
-        total = self.totals()
-        for mode in self.taggers:
-            yield total, mode
+    def _rows(self) -> list[PackAccuracy]:
+        return [*self.packs, self.totals()]
 
     def _format_pos(self) -> str:
-        headers = ["pack", "tagger", "tokens", "acc", "sent-acc",
-                   "known", "unknown"]
+        headers = ["pack", "tokens", "acc", "sent-acc", "known",
+                   "unknown"]
         rows = []
-        for pack, mode in self._rows():
-            p = pack.pos[mode]
+        for pack in self._rows():
+            p = pack.pos
             rows.append([
-                pack.name, mode, p.tokens,
+                pack.name, p.tokens,
                 f"{p.accuracy:.3f}",
                 f"{p.sentence_accuracy:.3f}",
                 f"{p.known_accuracy:.3f}",
@@ -390,38 +355,31 @@ class AccuracyReport:
         return format_table(headers, rows)
 
     def _format_parse(self) -> str:
-        headers = ["pack", "tagger", "tokens", "UAS", "LAS"]
+        headers = ["pack", "tokens", "UAS", "LAS"]
         rows = []
-        for pack, mode in self._rows():
-            p = pack.parse[mode]
+        for pack in self._rows():
+            p = pack.parse
             rows.append([
-                pack.name, mode, p.tokens,
+                pack.name, p.tokens,
                 f"{p.uas:.3f}", f"{p.las:.3f}",
             ])
         return format_table(headers, rows)
 
     def _format_translation(self) -> str:
-        headers = ["pack", "tagger", "n", "exact", "structure",
-                   "failures"]
+        headers = ["pack", "n", "exact", "structure", "failures"]
         rows = []
-        for pack, mode in self._rows():
-            t = pack.translation[mode]
+        for pack in self._rows():
+            t = pack.translation
             rows.append([
-                pack.name, mode, t.gold_queries,
+                pack.name, t.gold_queries,
                 f"{t.exact}/{t.gold_queries}",
                 f"{t.structure_avg:.2f}",
                 t.failures,
             ])
         return format_table(headers, rows)
 
-    def _format_confusion(self, mode: str = "rules", top: int = 10) -> str:
-        if mode not in self.taggers:
-            return ""
-        total = self.totals()
-        pairs = sorted(
-            total.pos[mode].confusion.items(),
-            key=lambda item: (-item[1], item[0]),
-        )[:top]
+    def _format_confusion(self, top: int = 10) -> str:
+        pairs = _ranked_confusion(self.totals().pos)[:top]
         if not pairs:
             return ""
         rows = [
@@ -463,38 +421,22 @@ class AccuracyReport:
 
         def pack_dict(pack: PackAccuracy) -> dict:
             return {
-                "pos": {
-                    mode: pos_dict(pack.pos[mode])
-                    for mode in self.taggers
-                },
-                "parse": {
-                    mode: parse_dict(pack.parse[mode])
-                    for mode in self.taggers
-                },
-                "translation": {
-                    mode: translation_dict(pack.translation[mode])
-                    for mode in self.taggers
-                },
+                "pos": pos_dict(pack.pos),
+                "parse": parse_dict(pack.parse),
+                "translation": translation_dict(pack.translation),
             }
 
         total = self.totals()
-        confusion = {}
-        if "rules" in self.taggers:
-            confusion = {
-                f"{gold}->{predicted}": count
-                for (gold, predicted), count in sorted(
-                    total.pos["rules"].confusion.items(),
-                    key=lambda item: (-item[1], item[0]),
-                )
-            }
         return {
             "experiment": "accuracy",
-            "taggers": list(self.taggers),
             "packs": {
                 pack.name: pack_dict(pack) for pack in self.packs
             },
             "overall": pack_dict(total),
-            "confusion_rules": confusion,
+            "confusion": {
+                f"{gold}->{predicted}": count
+                for (gold, predicted), count in _ranked_confusion(total.pos)
+            },
         }
 
     def write_json(self, path: str | Path) -> None:
@@ -504,14 +446,15 @@ class AccuracyReport:
         )
 
 
+def _ranked_confusion(pos: PosAccuracy) -> list:
+    """Confusion pairs, most frequent first, ties by (gold, predicted)."""
+    return sorted(pos.confusion.items(), key=lambda item: (-item[1], item[0]))
+
+
 def evaluate_accuracy(
     packs: list[ScenarioPack] | None = None,
-    taggers: tuple[str, ...] = TAGGER_MODES,
 ) -> AccuracyReport:
     """Score every builtin pack (or the given ones) on every surface."""
     if packs is None:
         packs = list(load_builtin_packs())
-    return AccuracyReport(
-        packs=[score_pack(pack, taggers) for pack in packs],
-        taggers=taggers,
-    )
+    return AccuracyReport(packs=[score_pack(pack) for pack in packs])

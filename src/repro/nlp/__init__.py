@@ -16,7 +16,6 @@ Typical use::
 from repro.nlp.tokenizer import Token, Tokenizer, tokenize
 from repro.nlp.lemma import Lemmatizer, lemmatize
 from repro.nlp.postag import PosTagger, TaggedToken, tag
-from repro.nlp.learned import PerceptronTagger, train_from_gold
 from repro.nlp.graph import DepEdge, DepGraph, DepNode
 from repro.nlp.depparse import DependencyParser, parse
 
@@ -29,8 +28,6 @@ __all__ = [
     "PosTagger",
     "TaggedToken",
     "tag",
-    "PerceptronTagger",
-    "train_from_gold",
     "DepEdge",
     "DepGraph",
     "DepNode",

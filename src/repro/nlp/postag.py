@@ -85,7 +85,7 @@ class PosTagger:
 
     Args:
         extra_lexicon: optional additional ``word -> (tags...)`` entries,
-            e.g. domain terms learned from an ontology's labels.  These
+            e.g. domain terms taken from an ontology's labels.  These
             take precedence over the built-in open-class lexicon but not
             over closed-class words.
     """

@@ -201,28 +201,7 @@ class TestTimings:
         assert trace.find("general-query-generator").elapsed >= 0
 
 
-class TestTaggerSelection:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="tagger"):
-            NL2CM(tagger="neural")
-
-    def test_rules_mode_is_byte_identical_to_the_default(self):
-        questions = [
-            "Where do you visit in Buffalo?",
-            "What are the most interesting places near Forest Hotel, "
-            "Buffalo, we should visit in the fall?",
-            "Which restaurants in Buffalo serve vegetarian food?",
-        ]
-        default = NL2CM()
-        explicit = NL2CM(tagger="rules")
-        for question in questions:
-            assert (
-                default.translate(question).query_text
-                == explicit.translate(question).query_text
-            )
-
-    def test_learned_mode_translates_the_demo_question(self):
-        nl2cm = NL2CM(tagger="learned")
-        assert nl2cm.tagger_mode == "learned"
-        result = nl2cm.translate("Where do you visit in Buffalo?")
-        assert "[] visit $x" in result.query_text
+class TestConstructor:
+    def test_there_is_no_tagger_option(self):
+        with pytest.raises(TypeError):
+            NL2CM(tagger="rules")

@@ -10,18 +10,17 @@ import json
 
 import pytest
 
+from repro.core.pipeline import NL2CM
 from repro.data.goldnlp import parse_gold_conll, sentence_from_graph
-from repro.data.scenario import domain_pack
+from repro.data.scenario import domain_pack, load_builtin_packs
+from repro.errors import ReproError
 from repro.eval.accuracy import (
-    TAGGER_MODES,
     AccuracyReport,
     PackAccuracy,
     ParseAccuracy,
     PosAccuracy,
     TranslationAccuracy,
-    _make_tagger,
     evaluate_accuracy,
-    score_pack,
     score_parse,
     score_pos,
     score_translation,
@@ -35,6 +34,8 @@ from repro.eval.harness import (
 from repro.eval.metrics import PrecisionRecall
 from repro.nlp.depparse import DependencyParser
 from repro.nlp.postag import TaggedToken
+from repro.oassisql.printer import print_oassisql
+from repro.ui.interaction import AutoInteraction
 
 
 def _norm(text):
@@ -188,14 +189,14 @@ class TestScoreTranslation:
         return domain_pack("shopping")
 
     def test_domain_pack_translates_to_its_gold(self, shopping):
-        acc = score_translation(shopping, tagger="rules")
+        acc = score_translation(shopping)
         assert acc.gold_queries > 0
         assert acc.exact == acc.gold_queries
         assert acc.structure_avg == 1.0
         assert acc.failures == 0
 
     def test_unsupported_questions_are_not_counted(self, shopping):
-        acc = score_translation(shopping, tagger="rules")
+        acc = score_translation(shopping)
         supported = [q for q in shopping.corpus if q.supported]
         assert acc.questions == len(supported)
 
@@ -205,100 +206,97 @@ class TestScorePackAndReport:
     def report(self):
         return evaluate_accuracy([domain_pack("shopping")])
 
-    def test_score_pack_fills_every_mode(self):
-        result = score_pack(domain_pack("shopping"))
-        for mode in TAGGER_MODES:
-            assert result.pos[mode].tokens > 0
-            assert result.parse[mode].tokens > 0
-            assert result.translation[mode].gold_queries > 0
-
     def test_totals_aggregate_across_packs(self, report):
         total = report.totals()
         assert total.name == "ALL"
-        for mode in report.taggers:
-            assert total.pos[mode].tokens == sum(
-                p.pos[mode].tokens for p in report.packs
-            )
+        assert total.pos.tokens == sum(p.pos.tokens for p in report.packs)
 
     def test_pack_lookup(self, report):
         assert report.pack("shopping").name == "shopping"
         with pytest.raises(KeyError):
             report.pack("nope")
 
-    def test_make_tagger_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="tagger mode"):
-            _make_tagger("neural")
-
     def test_json_artifact_shape(self, report, tmp_path):
         out = tmp_path / "accuracy.json"
         report.write_json(out)
         data = json.loads(out.read_text())
         assert data["experiment"] == "accuracy"
-        assert data["taggers"] == list(TAGGER_MODES)
+        assert set(data) == {"experiment", "packs", "overall", "confusion"}
         assert set(data["packs"]) == {"shopping"}
-        for surface in ("pos", "parse", "translation"):
-            assert set(data["overall"][surface]) == set(TAGGER_MODES)
-        assert data["overall"]["pos"]["rules"]["tokens"] > 0
-        assert isinstance(data["confusion_rules"], dict)
+        assert set(data["overall"]) == {"pos", "parse", "translation"}
+        assert data["overall"]["pos"]["tokens"] > 0
+        assert isinstance(data["confusion"], dict)
+
+
+#: Gold queries the rules tagger misses: each turns on a word outside
+#: its lexicon ("rewatch", "trust", "funny", ...).  Known failures, not
+#: a target to tune the lexicon towards (EXPERIMENTS.md, E15).
+KNOWN_GOLD_MISSES = {
+    "commerce-02", "commerce-05", "commerce-06", "movies-04", "movies-05",
+}
+
+
+def test_gold_query_misses_are_exactly_the_known_failures():
+    misses, failures = set(), []
+    for pack in load_builtin_packs():
+        nl2cm = NL2CM(
+            ontology=pack.ontology,
+            patterns=pack.patterns,
+            vocabularies=pack.vocabularies,
+            interaction=AutoInteraction(),
+        )
+        for question in pack.corpus:
+            if not question.supported or question.gold_query is None:
+                continue
+            try:
+                result = nl2cm.translate(question.text)
+            except ReproError as err:
+                failures.append((question.id, err))
+                continue
+            if print_oassisql(result.query) != question.gold_query:
+                misses.add(question.id)
+    assert failures == []
+    assert misses == KNOWN_GOLD_MISSES
 
 
 def _demo_report():
-    pos_r = PosAccuracy(
-        tokens=10, correct=9, known_tokens=8, known_correct=8,
-        sentences=2, sentences_correct=1,
-        confusion={("NNP", "NNPS"): 1},
-    )
-    pos_l = PosAccuracy(
-        tokens=10, correct=10, known_tokens=10, known_correct=10,
-        sentences=2, sentences_correct=2,
-    )
-    par_r = ParseAccuracy(
-        tokens=10, uas_correct=9, las_correct=8, sentences=2
-    )
-    par_l = ParseAccuracy(
-        tokens=10, uas_correct=10, las_correct=10, sentences=2
-    )
-    tr_r = TranslationAccuracy(
-        questions=3, gold_queries=3, exact=2, structure_sum=2.5
-    )
-    tr_l = TranslationAccuracy(
-        questions=3, gold_queries=3, exact=3, structure_sum=3.0
-    )
     pack = PackAccuracy(
         name="demo",
-        pos={"rules": pos_r, "learned": pos_l},
-        parse={"rules": par_r, "learned": par_l},
-        translation={"rules": tr_r, "learned": tr_l},
+        pos=PosAccuracy(
+            tokens=10, correct=9, known_tokens=8, known_correct=8,
+            sentences=2, sentences_correct=1,
+            confusion={("NNP", "NNPS"): 1},
+        ),
+        parse=ParseAccuracy(
+            tokens=10, uas_correct=9, las_correct=8, sentences=2
+        ),
+        translation=TranslationAccuracy(
+            questions=3, gold_queries=3, exact=2, structure_sum=2.5
+        ),
     )
     return AccuracyReport(packs=[pack])
 
 
 GOLDEN_ACCURACY = """\
-POS tagging accuracy (per pack and tagger)
-pack  tagger   tokens  acc    sent-acc  known  unknown
-----  -------  ------  -----  --------  -----  -------
-demo  rules    10      0.900  0.500     1.000  0.500
-demo  learned  10      1.000  1.000     1.000  1.000
-ALL   rules    10      0.900  0.500     1.000  0.500
-ALL   learned  10      1.000  1.000     1.000  1.000
+POS tagging accuracy (per pack)
+pack  tokens  acc    sent-acc  known  unknown
+----  ------  -----  --------  -----  -------
+demo  10      0.900  0.500     1.000  0.500
+ALL   10      0.900  0.500     1.000  0.500
 
-Dependency attachment (per pack and tagger)
-pack  tagger   tokens  UAS    LAS
-----  -------  ------  -----  -----
-demo  rules    10      0.900  0.800
-demo  learned  10      1.000  1.000
-ALL   rules    10      0.900  0.800
-ALL   learned  10      1.000  1.000
+Dependency attachment (per pack)
+pack  tokens  UAS    LAS
+----  ------  -----  -----
+demo  10      0.900  0.800
+ALL   10      0.900  0.800
 
 Translation quality vs. gold queries
-pack  tagger   n  exact  structure  failures
-----  -------  -  -----  ---------  --------
-demo  rules    3  2/3    0.83       0
-demo  learned  3  3/3    1.00       0
-ALL   rules    3  2/3    0.83       0
-ALL   learned  3  3/3    1.00       0
+pack  n  exact  structure  failures
+----  -  -----  ---------  --------
+demo  3  2/3    0.83       0
+ALL   3  2/3    0.83       0
 
-Top confusions (rules tagger, all packs)
+Top confusions (all packs)
 gold  predicted  count
 ----  ---------  -----
 NNP   NNPS       1"""
@@ -310,10 +308,10 @@ class TestGoldenTables:
 
     def test_accuracy_json_rounds_to_four_places(self):
         data = _demo_report().to_json()
-        rules = data["overall"]["translation"]["rules"]
-        assert rules["exact_rate"] == 0.6667
-        assert rules["structure_avg"] == 0.8333
-        assert data["confusion_rules"] == {"NNP->NNPS": 1}
+        translation = data["overall"]["translation"]
+        assert translation["exact_rate"] == 0.6667
+        assert translation["structure_avg"] == 0.8333
+        assert data["confusion"] == {"NNP->NNPS": 1}
 
     def test_verification_report_format(self):
         report = VerificationReport(

@@ -4,24 +4,22 @@ Three families of invariants the accuracy harness leans on:
 
 * **offset round-trip** — every token's ``(start, end)`` span maps back
   to exactly its surface text, so gold alignment by form is sound;
-* **tag-set closure** — both taggers only ever emit tags from
+* **tag-set closure** — the tagger only ever emits tags from
   :data:`TAGSET`, on arbitrary fuzzed input, so confusion matrices and
   gold validation share one closed label space;
-* **determinism** — tagging the same input twice, or training the same
-  perceptron twice, yields identical output (the A/B comparison would
-  be meaningless otherwise).
+* **determinism** — tagging the same input twice yields identical
+  output.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.nlp.learned import PerceptronTagger
 from repro.nlp.postag import PosTagger
 from repro.nlp.postag_lexicon import TAGSET
 from repro.nlp.tokenizer import tokenize
 
 #: In-domain words, OOV words, contractions, numbers and punctuation —
-#: enough variety to exercise the guesser paths of both taggers.
+#: enough variety to exercise the tagger's guesser paths.
 WORDS = [
     "Where", "do", "you", "visit", "in", "Buffalo", "the", "best",
     "places", "we", "should", "go", "hiking", "winter", "don't",
@@ -42,23 +40,6 @@ raw_text = st.text(
     max_size=60,
 )
 
-TRAIN_CORPUS = [
-    [("Where", "WRB"), ("do", "VBP"), ("you", "PRP"),
-     ("visit", "VB"), ("in", "IN"), ("Buffalo", "NNP"), ("?", ".")],
-    [("Which", "WDT"), ("places", "NNS"), ("are", "VBP"),
-     ("interesting", "JJ"), ("?", ".")],
-    [("We", "PRP"), ("go", "VBP"), ("hiking", "VBG"),
-     ("in", "IN"), ("the", "DT"), ("winter", "NN"), (".", ".")],
-]
-
-
-def _trained(seed=7):
-    tagger = PerceptronTagger(seed=seed)
-    tagger.train(TRAIN_CORPUS)
-    return tagger
-
-
-LEARNED = _trained()
 RULES = PosTagger()
 
 
@@ -97,15 +78,6 @@ class TestTagsetClosure:
         for tagged in RULES.tag(tokens):
             assert tagged.tag in TAGSET
 
-    @given(sentences)
-    @settings(max_examples=200)
-    def test_learned_tagger_stays_inside_the_tagset(self, text):
-        tokens = tokenize(text)
-        if not tokens:
-            return
-        for tagged in LEARNED.tag(tokens):
-            assert tagged.tag in TAGSET
-
 
 class TestDeterminism:
     @given(sentences)
@@ -116,15 +88,4 @@ class TestDeterminism:
             return
         first = [(t.text, t.tag) for t in RULES.tag(tokens)]
         second = [(t.text, t.tag) for t in PosTagger().tag(tokens)]
-        assert first == second
-
-    @given(sentences)
-    @settings(max_examples=50)
-    def test_independently_trained_perceptrons_agree(self, text):
-        tokens = tokenize(text)
-        if not tokens:
-            return
-        twin = _trained()
-        first = [(t.text, t.tag) for t in LEARNED.tag(tokens)]
-        second = [(t.text, t.tag) for t in twin.tag(tokens)]
         assert first == second

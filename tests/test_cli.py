@@ -224,9 +224,9 @@ class TestScore:
         assert status == 0
         data = json_module.loads(out_file.read_text())
         assert data["experiment"] == "accuracy"
-        assert data["taggers"] == ["rules", "learned"]
+        assert "taggers" not in data
         assert set(data["packs"]) == {"patients"}
-        assert "overall" in data and "confusion_rules" in data
+        assert "overall" in data and "confusion" in data
 
     def test_score_unwritable_json_exits_two(self, tmp_path, capsys):
         from repro.data.scenario import builtin_packs_dir
