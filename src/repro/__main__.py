@@ -537,7 +537,7 @@ def run_serve(args) -> int:
         if args.metrics_out:
             try:
                 Path(args.metrics_out).write_text(
-                    manager.registry.expose(), "utf-8"
+                    manager.expose(), "utf-8"
                 )
             except OSError as err:
                 print(

@@ -6,23 +6,27 @@ substrate: a thread-safe :class:`MetricsRegistry` holding three
 instrument kinds —
 
 * :class:`Counter` — monotonically increasing floats (requests,
-  cache hits, crowd tasks);
-* :class:`Gauge` — instantaneous values, settable or computed by a
-  lock-free callback (cache size);
+  crowd tasks);
+* :class:`Gauge` — instantaneous values (queue depth);
 * :class:`Histogram` — cumulative-bucket latency distributions over
   fixed log-scale buckets (per-stage pipeline latency).
 
 Every instrument may be *labeled* (``stage="ix-finder"``); a labeled
-family holds one child per label-value combination.  Registration is
+family holds one child per label-value combination.  A counter or gauge
+may instead read a lock-free *callback* over a component's own state
+(cache hits, cache size), so the registry reports exactly what the
+component does; callbacks bound to one name sum.  Registration is
 get-or-create: asking for an already-registered name returns the
 existing family (so a shared registry aggregates across services), and
 conflicting re-registration (different kind, help or label names)
 raises :class:`~repro.errors.MetricsError`.
 
-:meth:`MetricsRegistry.expose` renders the whole registry in the
-Prometheus text exposition format (version 0.0.4), and
-:func:`parse_prometheus_text` parses that format back — used by the
-tests and the CI job to prove the output is well-formed line by line.
+:meth:`MetricsRegistry.samples` takes one atomic snapshot as plain data
+(:data:`Samples`, the shape :func:`parse_prometheus_text` returns);
+:func:`render_samples` renders it in the Prometheus text exposition
+format (version 0.0.4) and :func:`merge_samples`, :func:`label_samples`
+and :func:`without_gauges` combine snapshots across processes — the
+sharded serving tier ships worker metrics to the front-end that way.
 
 Everything is stdlib-only by design: the container this runs in has no
 ``prometheus_client``, and none is needed.
@@ -34,7 +38,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import MetricsError
 
@@ -44,7 +48,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Samples",
+    "label_samples",
+    "merge_samples",
     "parse_prometheus_text",
+    "render_samples",
+    "without_gauges",
 ]
 
 #: Fixed log-scale (1-2.5-5 per decade) latency buckets, in seconds,
@@ -64,6 +73,10 @@ _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: The key of one child inside a family: label values, in the order of
 #: the family's ``labelnames``.
 LabelValues = tuple[str, ...]
+
+#: A metrics snapshot: ``{family name: {"type": str | None, "help": str |
+#: None, "samples": {(sample name, sorted (label, value) pairs): float}}}``.
+Samples = dict[str, dict]
 
 
 def _format_value(value: float) -> str:
@@ -87,17 +100,10 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", r"\\").replace("\n", r"\n")
 
 
-def _render_labels(
-    labelnames: tuple[str, ...],
-    labelvalues: LabelValues,
-    extra: tuple[tuple[str, str], ...] = (),
-) -> str:
-    pairs = [
-        f'{n}="{_escape_label_value(v)}"'
-        for n, v in zip(labelnames, labelvalues)
-    ]
-    pairs.extend(f'{n}="{_escape_label_value(v)}"' for n, v in extra)
-    return "{" + ",".join(pairs) + "}" if pairs else ""
+def _render_labels(pairs: tuple[tuple[str, str], ...]) -> str:
+    return "{" + ",".join(
+        f'{n}="{_escape_label_value(v)}"' for n, v in pairs
+    ) + "}" if pairs else ""
 
 
 class _Family:
@@ -130,6 +136,7 @@ class _Family:
         self.labelnames = tuple(labelnames)
         self._lock = lock
         self._children: dict[LabelValues, object] = {}
+        self._callbacks: list[Callable[[], object]] = []
 
     # -- children ------------------------------------------------------------
 
@@ -145,6 +152,10 @@ class _Family:
         """The child for one label-value combination (created lazily)."""
         key = self._key(labels)
         with self._lock:
+            if self._callbacks:
+                raise MetricsError(
+                    f"callback metric {self.name!r} cannot be set"
+                )
             child = self._children.get(key)
             if child is None:
                 child = self._make_child()
@@ -182,23 +193,64 @@ class _Family:
             for child in self._children.values():
                 child.reset()
 
-    # -- exposition ----------------------------------------------------------
-
-    def _header(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-
-    def expose(self) -> list[str]:
-        with self._lock:
-            lines = self._header()
-            for key, child in self._children.items():
-                lines.extend(self._expose_child(key, child))
-            return lines
-
-    def _expose_child(self, key, child):  # pragma: no cover - overridden
+    def _samples(self) -> dict:  # pragma: no cover - overridden
+        """This family as a :data:`Samples` entry; the caller holds the
+        registry lock."""
         raise NotImplementedError
+
+
+class _Scalar(_Family):
+    """A family with one value per child: a counter or a gauge.
+
+    Its values are either recorded into children or read from bound
+    callbacks — never both.  A callback returns a number (unlabeled
+    family) or a mapping from label-value tuples to numbers; several
+    callbacks bound to one family (one per cache or service sharing a
+    registry) are summed.  Callbacks run under the registry lock, so
+    they must be lock-free and cheap (e.g. reading an int attribute).
+    """
+
+    def _bind(self, callback: Callable[[], object]) -> None:
+        if self._children:
+            raise MetricsError(
+                f"metric {self.name!r} already records values; it "
+                f"cannot also read a callback"
+            )
+        self._callbacks.append(callback)
+
+    def _readings(self) -> dict[LabelValues, float]:
+        """Current value per label-value key; the caller holds the lock."""
+        if not self._callbacks:
+            return {key: child.value for key, child in self._children.items()}
+        out: dict[LabelValues, float] = {}
+        for callback in self._callbacks:
+            reading = callback()
+            if not isinstance(reading, Mapping):
+                reading = {(): reading}
+            for key, value in reading.items():
+                out[key] = out.get(key, 0.0) + float(value)
+        return out
+
+    def value(self, **labels: str) -> float:
+        """Current value; 0.0 for a label combination never touched."""
+        key = self._key(labels)
+        with self._lock:
+            return self._readings().get(key, 0.0)
+
+    def series(self) -> list[tuple[dict[str, str], float]]:
+        """``(labels dict, current value)`` per series, callbacks read."""
+        with self._lock:
+            return [
+                (dict(zip(self.labelnames, key)), value)
+                for key, value in self._readings().items()
+            ]
+
+    def _samples(self) -> dict:
+        samples = {
+            (self.name, tuple(sorted(zip(self.labelnames, key)))): value
+            for key, value in self._readings().items()
+        }
+        return {"type": self.kind, "help": self.help, "samples": samples}
 
 
 class _CounterChild:
@@ -224,7 +276,7 @@ class _CounterChild:
             return self._value
 
 
-class Counter(_Family):
+class Counter(_Scalar):
     """A monotonically increasing value (family of them when labeled)."""
 
     kind = "counter"
@@ -235,74 +287,29 @@ class Counter(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
 
-    def value(self, **labels: str) -> float:
-        """Current value; 0.0 for a label combination never touched."""
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            return child.value if child is not None else 0.0
 
-    def _expose_child(self, key, child):
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {_format_value(child.value)}"]
-
-
-class _GaugeChild:
-    __slots__ = ("_value", "_lock", "_callback")
-
-    def __init__(
-        self,
-        lock: threading.RLock,
-        callback: Callable[[], float] | None = None,
-    ):
-        self._value = 0.0
-        self._lock = lock
-        self._callback = callback
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
-        if self._callback is not None:
-            raise MetricsError("callback gauges cannot be set")
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._callback is not None:
-            raise MetricsError("callback gauges cannot be set")
         with self._lock:
             self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def reset(self) -> None:
-        if self._callback is not None:
-            return  # callback gauges describe live state
-        with self._lock:
-            self._value = 0.0
 
-    @property
-    def value(self) -> float:
-        if self._callback is not None:
-            # Callbacks run under the registry lock during expose();
-            # they must be lock-free and cheap (e.g. len() of a dict).
-            return float(self._callback())
-        with self._lock:
-            return self._value
-
-
-class Gauge(_Family):
+class Gauge(_Scalar):
     """An instantaneous value; optionally computed by a callback."""
 
     kind = "gauge"
 
-    def __init__(self, name, help, labelnames, lock, callback=None):
-        if callback is not None and labelnames:
-            raise MetricsError("callback gauges cannot be labeled")
-        super().__init__(name, help, labelnames, lock)
-        self._callback = callback
-
     def _make_child(self) -> _GaugeChild:
-        return _GaugeChild(self._lock, self._callback)
+        return _GaugeChild(self._lock)
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
@@ -312,25 +319,6 @@ class Gauge(_Family):
 
     def dec(self, amount: float = 1.0) -> None:
         self._default_child().dec(amount)
-
-    def value(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None and self._callback is not None:
-                child = self.labels()
-            return child.value if child is not None else 0.0
-
-    def _expose_child(self, key, child):
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {_format_value(child.value)}"]
-
-    def expose(self) -> list[str]:
-        # Materialize the default child so a callback gauge shows up
-        # even if nobody ever read it.
-        if self._callback is not None:
-            self.labels()
-        return super().expose()
 
 
 class _HistogramChild:
@@ -435,17 +423,18 @@ class Histogram(_Family):
             child = self._children.get(key)
             return child.count if child is not None else 0
 
-    def _expose_child(self, key, child):
-        lines = []
-        for bound, cumulative in child.cumulative_counts():
-            labels = _render_labels(
-                self.labelnames, key, (("le", _format_value(bound)),)
-            )
-            lines.append(f"{self.name}_bucket{labels} {cumulative}")
-        labels = _render_labels(self.labelnames, key)
-        lines.append(f"{self.name}_sum{labels} {_format_value(child.sum)}")
-        lines.append(f"{self.name}_count{labels} {child.count}")
-        return lines
+    def _samples(self) -> dict:
+        samples = {}
+        for key, child in self._children.items():
+            labels = tuple(zip(self.labelnames, key))
+            pairs = tuple(sorted(labels))
+            for bound, cumulative in child.cumulative_counts():
+                le = labels + (("le", _format_value(bound)),)
+                sample = (self.name + "_bucket", tuple(sorted(le)))
+                samples[sample] = float(cumulative)
+            samples[(self.name + "_sum", pairs)] = float(child.sum)
+            samples[(self.name + "_count", pairs)] = float(child.count)
+        return {"type": self.kind, "help": self.help, "samples": samples}
 
 
 class MetricsRegistry:
@@ -467,19 +456,20 @@ class MetricsRegistry:
         name: str,
         help: str,
         labelnames: tuple[str, ...] = (),
+        callback: Callable[[], object] | None = None,
     ) -> Counter:
-        return self._register(Counter, name, help, tuple(labelnames))
+        return self._register(
+            Counter, name, help, tuple(labelnames), callback
+        )
 
     def gauge(
         self,
         name: str,
         help: str,
         labelnames: tuple[str, ...] = (),
-        callback: Callable[[], float] | None = None,
+        callback: Callable[[], object] | None = None,
     ) -> Gauge:
-        return self._register(
-            Gauge, name, help, tuple(labelnames), callback=callback
-        )
+        return self._register(Gauge, name, help, tuple(labelnames), callback)
 
     def histogram(
         self,
@@ -492,22 +482,21 @@ class MetricsRegistry:
             Histogram, name, help, tuple(labelnames), buckets=buckets
         )
 
-    def _register(self, cls, name, help, labelnames, **kwargs) -> _Family:
+    def _register(
+        self, cls, name, help, labelnames, callback=None, **kwargs
+    ) -> _Family:
         with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                if (
-                    type(existing) is not cls
-                    or existing.labelnames != labelnames
-                ):
-                    raise MetricsError(
-                        f"metric {name!r} is already registered as a "
-                        f"{existing.kind} with labels "
-                        f"{list(existing.labelnames)}"
-                    )
-                return existing
-            family = cls(name, help, labelnames, self._lock, **kwargs)
-            self._families[name] = family
+            family = self._families.get(name)
+            if family is None:
+                family = cls(name, help, labelnames, self._lock, **kwargs)
+                self._families[name] = family
+            elif type(family) is not cls or family.labelnames != labelnames:
+                raise MetricsError(
+                    f"metric {name!r} is already registered as a "
+                    f"{family.kind} with labels {list(family.labelnames)}"
+                )
+            if callback is not None:
+                family._bind(callback)
             return family
 
     # -- introspection -------------------------------------------------------
@@ -530,21 +519,72 @@ class MetricsRegistry:
             for family in self._families.values():
                 family.reset()
 
-    # -- exposition ----------------------------------------------------------
+    # -- snapshot + exposition -------------------------------------------------
+
+    def samples(self) -> Samples:
+        """One atomic snapshot of every family, under the registry lock."""
+        with self._lock:
+            return {
+                name: family._samples()
+                for name, family in self._families.items()
+            }
 
     def expose(self) -> str:
-        """The whole registry in Prometheus text format (0.0.4).
+        """The whole registry in Prometheus text format (0.0.4)."""
+        return render_samples(self.samples())
 
-        Ends with a trailing newline, as scrapers expect.  The snapshot
-        is per-family consistent; cross-family consistency is not
-        promised (scrapes are not transactions).
-        """
-        lines: list[str] = []
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            lines.extend(family.expose())
-        return "\n".join(lines) + "\n" if lines else ""
+
+def render_samples(samples: Samples) -> str:
+    """Prometheus text format (0.0.4): one header per family, then its
+    samples; a trailing newline unless the snapshot is empty."""
+    lines: list[str] = []
+    for name, family in samples.items():
+        if family.get("help") is not None:
+            lines.append(f"# HELP {name} {_escape_help(family['help'])}")
+        if family.get("type") is not None:
+            lines.append(f"# TYPE {name} {family['type']}")
+        for (sample, pairs), value in family["samples"].items():
+            lines.append(
+                f"{sample}{_render_labels(pairs)} {_format_value(value)}"
+            )
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def merge_samples(parts: Iterable[Samples]) -> Samples:
+    """Sum snapshots per sample key (gauges too); families are the
+    union, each keeping the type and help of its first sighting."""
+    merged: Samples = {}
+    for part in parts:
+        for name, family in part.items():
+            into = merged.setdefault(name, {
+                "type": family.get("type"),
+                "help": family.get("help"),
+                "samples": {},
+            })["samples"]
+            for key, value in family["samples"].items():
+                into[key] = into.get(key, 0.0) + value
+    return merged
+
+
+def label_samples(samples: Samples, **labels: str) -> Samples:
+    """Extra labels on every sample (``shard="0"``); relabel before
+    :func:`merge_samples` to expose several processes' series."""
+    extra = tuple(labels.items())
+    return {
+        name: {**family, "samples": {
+            (sample, tuple(sorted(pairs + extra))): value
+            for (sample, pairs), value in family["samples"].items()
+        }}
+        for name, family in samples.items()
+    }
+
+
+def without_gauges(samples: Samples) -> Samples:
+    """The accumulating families only: what a dead process leaves."""
+    return {
+        name: family for name, family in samples.items()
+        if family.get("type") != "gauge"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +653,14 @@ def _parse_value(token: str, lineno: int) -> float:
 
 
 def parse_prometheus_text(text: str) -> dict[str, dict]:
-    """Parse Prometheus text-format exposition into metric dicts.
+    """Parse Prometheus text-format exposition into :data:`Samples`.
 
     Returns ``{metric name: {"type": str | None, "help": str | None,
     "samples": {(sample name, ((label, value), ...)): float}}}``, where
     the sample name carries any ``_bucket``/``_sum``/``_count`` suffix
-    and label pairs are sorted.  Raises :class:`ValueError` on any line
+    and label pairs are sorted — the shape of
+    :meth:`MetricsRegistry.samples`, so ``parse_prometheus_text(
+    render_samples(s)) == s``.  Raises :class:`ValueError` on any line
     that is not a valid comment, ``# HELP``, ``# TYPE`` or sample line —
     this strictness is the point: the tests and the CI job use it to
     prove :meth:`MetricsRegistry.expose` output is well-formed.
@@ -645,6 +687,10 @@ def parse_prometheus_text(text: str) -> dict[str, dict]:
                 record = metrics.setdefault(
                     name, {"type": None, "help": None, "samples": {}}
                 )
+                if parts[1] == "HELP":  # undo _escape_help
+                    payload = re.sub(
+                        r"\\(.)", lambda m: m[1].replace("n", "\n"), payload
+                    )
                 record[parts[1].lower()] = payload
             # Other comments are legal and ignored.
             continue

@@ -539,21 +539,34 @@ class QueryPlanner:
         self.misses = 0
         self.invalidations = 0
         self.compiled = 0
-        self._m_cache = None
-        self._m_compiled = None
+        self._registries: list[MetricsRegistry] = []
 
     # -- observability -----------------------------------------------------------
 
     def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror the plan-cache counters into ``registry``."""
-        self._m_cache = registry.counter(
+        """Expose the plan-cache counters through ``registry``.
+
+        Lock-free callbacks over this planner's own counters, so every
+        registry it is bound to reads what :meth:`snapshot` reports.
+        Binding is idempotent per registry.
+        """
+        if any(bound is registry for bound in self._registries):
+            return
+        self._registries.append(registry)
+        registry.counter(
             "planner_plan_cache_total",
             "Plan-cache lookups by result (hit/miss/invalidated).",
             labelnames=("result",),
+            callback=lambda: {
+                ("hit",): self.hits,
+                ("miss",): self.misses,
+                ("invalidated",): self.invalidations,
+            },
         )
-        self._m_compiled = registry.counter(
+        registry.counter(
             "planner_plans_compiled_total",
             "Query plans compiled (cache misses + invalidations).",
+            callback=lambda: self.compiled,
         )
         registry.gauge(
             "planner_plan_cache_size",
@@ -610,8 +623,6 @@ class QueryPlanner:
             else:
                 self.misses += 1
                 outcome = "miss"
-        if self._m_cache is not None:
-            self._m_cache.labels(result=outcome).inc()
         if plan is None:
             plan = _build_plan(
                 store, patterns, filters, initial_vars, shape
@@ -622,8 +633,6 @@ class QueryPlanner:
                 self._cache.move_to_end(key)
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-            if self._m_compiled is not None:
-                self._m_compiled.inc()
         steps = [
             _compile_step(
                 store,

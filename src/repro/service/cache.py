@@ -79,43 +79,46 @@ class TranslationCache:
         self._evictions = 0
         self._insertions = 0
         self._warmed = 0
-        self._m_lookups = None
-        self._m_evictions = None
-        self._m_insertions = None
-        self._m_warmed = None
+        self._registries: list[MetricsRegistry] = []
 
     # -- metrics ----------------------------------------------------------------
 
     def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror this cache's counters into ``registry``.
+        """Expose this cache's counters through ``registry``.
 
-        Event counters (lookups by result, evictions, insertions) are
-        incremented as they happen; size and capacity are lock-free
-        callback gauges, so a scrape never touches the cache lock.
-        Registration is get-or-create, so binding several caches to one
-        registry aggregates them.  Lock ordering: the cache lock may be
-        held while a counter takes the registry lock, never the
-        reverse (the gauge callbacks below are lock-free by design).
+        Every series is a lock-free callback over the cache's own
+        counters, so the registry reads exactly what :meth:`stats`
+        reports (through :meth:`clear` and :meth:`reset_counters` too),
+        the lookup path never touches the registry, and a scrape never
+        takes the cache lock.  Binding is idempotent per registry;
+        several caches bound to one registry sum.
         """
-        self._m_lookups = registry.counter(
+        if any(bound is registry for bound in self._registries):
+            return
+        self._registries.append(registry)
+        registry.counter(
             "nl2cm_cache_lookups_total",
             "Translation cache lookups by result (hit/miss).",
             labelnames=("result",),
+            callback=lambda: {("hit",): self._hits, ("miss",): self._misses},
         )
-        self._m_evictions = registry.counter(
+        registry.counter(
             "nl2cm_cache_evictions_total",
             "Translation cache LRU evictions.",
+            callback=lambda: self._evictions,
         )
-        self._m_insertions = registry.counter(
+        registry.counter(
             "nl2cm_cache_insertions_total",
             "Translation cache entries actually inserted "
             "(refreshes excluded).",
+            callback=lambda: self._insertions,
         )
-        self._m_warmed = registry.counter(
+        registry.counter(
             "nl2cm_cache_warmed_total",
             "Entries replayed into the cache by the warm-restart "
             "protocol (seed); counted separately from insertions so "
             "traffic rates stay honest.",
+            callback=lambda: self._warmed,
         )
         registry.gauge(
             "nl2cm_cache_size",
@@ -148,13 +151,9 @@ class TranslationCache:
             result = self._entries.get(key)
             if result is None:
                 self._misses += 1
-                if self._m_lookups is not None:
-                    self._m_lookups.labels(result="miss").inc()
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            if self._m_lookups is not None:
-                self._m_lookups.labels(result="hit").inc()
             return result
 
     def put(self, text: str, fingerprint: str, result: Any) -> bool:
@@ -173,12 +172,8 @@ class TranslationCache:
             while len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
             self._entries[key] = result
             self._insertions += 1
-            if self._m_insertions is not None:
-                self._m_insertions.inc()
             return True
 
     def warm(
@@ -259,12 +254,8 @@ class TranslationCache:
                 while len(self._entries) >= self.capacity:
                     self._entries.popitem(last=False)
                     self._evictions += 1
-                    if self._m_evictions is not None:
-                        self._m_evictions.inc()
                 self._entries[key] = result
                 self._warmed += 1
-                if self._m_warmed is not None:
-                    self._m_warmed.inc()
             warmed += 1
         return warmed, refused
 
@@ -290,12 +281,7 @@ class TranslationCache:
             self._evictions = self._insertions = self._warmed = 0
 
     def reset_counters(self) -> None:
-        """Zero hit/miss/eviction/insertion/warmed counters; entries kept.
-
-        The bound registry's mirrored counters are *not* reset here —
-        the service's ``reset_stats`` resets the whole registry, which
-        covers them.
-        """
+        """Zero hit/miss/eviction/insertion/warmed counters; entries kept."""
         with self._lock:
             self._hits = self._misses = 0
             self._evictions = self._insertions = self._warmed = 0

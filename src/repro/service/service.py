@@ -20,7 +20,7 @@ service adds the serving layer the paper's demo never needed:
 Every counter and latency distribution lives in a
 :class:`~repro.obs.metrics.MetricsRegistry` (injectable; a private one
 is built if omitted), exposed in Prometheus text format via
-``registry.expose()``.  :meth:`stats` is a *compatibility view* derived
+``registry.expose()``.  :meth:`stats` is a *view* derived
 from the registry — the two can never disagree, because there is only
 one set of numbers.  Request accounting distinguishes four disjoint
 outcomes::
@@ -54,7 +54,7 @@ from repro.errors import (
     ReproError,
     UnexpectedTranslationError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Samples
 from repro.obs.slowlog import SlowQueryLog
 from repro.resilience import (
     FlakyInteraction,
@@ -97,11 +97,9 @@ class StageStat:
 class ServiceStats:
     """A point-in-time snapshot of the service's counters.
 
-    Derived from the service's metrics registry under the service lock,
-    with the cache counters read *after* the request counters — so the
-    snapshot can never show ``served_from_cache > cache hits`` (every
-    counted cache-served request incremented the cache's hit counter
-    first).
+    A view over a metrics snapshot (:meth:`from_samples`): one
+    service's registry, one shard's lifetime, or the merged serving
+    tier all read through the same field mapping.
 
     Attributes:
         requests: translation requests served (all outcomes).
@@ -208,6 +206,80 @@ class ServiceStats:
     @property
     def cache_hit_rate(self) -> float:
         return self.cache.hit_rate if self.cache else 0.0
+
+    @classmethod
+    def from_samples(cls, samples: Samples) -> "ServiceStats":
+        """The view over one metrics snapshot — the only way to build one.
+
+        ``samples`` is a :meth:`~repro.obs.metrics.MetricsRegistry.samples`
+        snapshot, a parsed exposition, or a merge of several (one
+        service, one shard's lifetime, the whole tier).  An absent
+        series reads as zero, so the empty snapshot is the all-zero view
+        with ``0.0`` rates; ``cache`` is None unless the snapshot has
+        the cache's counter families.
+        """
+        flat = {
+            key: value
+            for family in samples.values()
+            for key, value in family["samples"].items()
+        }
+
+        def value(name: str, **labels: str) -> float:
+            return flat.get((name, tuple(sorted(labels.items()))), 0.0)
+
+        def count(name: str, **labels: str) -> int:
+            return int(value(name, **labels))
+
+        stages = {}
+        for (name, pairs), total in flat.items():
+            if name == "nl2cm_stage_seconds_sum":
+                labels = dict(pairs)
+                stages[labels["stage"]] = StageStat(
+                    total, int(flat[("nl2cm_stage_seconds_count", pairs)]),
+                    leaf=labels["kind"] == "leaf",
+                )
+        lookups = "nl2cm_cache_lookups_total"
+        cache = CacheStats(
+            hits=count(lookups, result="hit"),
+            misses=count(lookups, result="miss"),
+            evictions=count("nl2cm_cache_evictions_total"),
+            size=count("nl2cm_cache_size"),
+            capacity=count("nl2cm_cache_capacity"),
+            insertions=count("nl2cm_cache_insertions_total"),
+            warmed=count("nl2cm_cache_warmed_total"),
+        ) if lookups in samples else None
+        outcome = "nl2cm_request_outcomes_total"
+        lint = "nl2cm_lint_diagnostics_total"
+        kb_lint = "nl2cm_kb_lint_diagnostics"
+        plans = "planner_plan_cache_total"
+        return cls(
+            requests=count("nl2cm_requests_total"),
+            translated=count(outcome, outcome="translated"),
+            served_from_cache=count(outcome, outcome="cache_hit"),
+            deduplicated=count(outcome, outcome="deduplicated"),
+            errors=count(outcome, outcome="error"),
+            batches=count("nl2cm_batches_total"),
+            batch_questions=count("nl2cm_batch_questions_total"),
+            batch_seconds=value("nl2cm_batch_seconds_total"),
+            busy_seconds=value("nl2cm_translate_seconds_sum"),
+            stages=stages,
+            cache=cache,
+            workers=count("nl2cm_workers"),
+            lint_errors=count(lint, severity="error"),
+            lint_warnings=count(lint, severity="warning"),
+            lint_infos=count(lint, severity="info"),
+            kb_lint_errors=count(kb_lint, severity="error"),
+            kb_lint_warnings=count(kb_lint, severity="warning"),
+            kb_lint_infos=count(kb_lint, severity="info"),
+            slow_queries=count("nl2cm_slow_queries_total"),
+            degraded=count("repro_degraded_total"),
+            retries=count("nl2cm_retries_total"),
+            breaker_rejections=count("nl2cm_breaker_rejections_total"),
+            plan_cache_hits=count(plans, result="hit"),
+            plan_cache_misses=count(plans, result="miss"),
+            plan_cache_invalidations=count(plans, result="invalidated"),
+            plans_compiled=count("planner_plans_compiled_total"),
+        )
 
 
 class _SeededTrace:
@@ -799,69 +871,17 @@ class TranslationService:
     # -- stats ---------------------------------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """A consistent snapshot, derived from the metrics registry.
+        """A consistent snapshot: the view over the metrics registry.
 
-        Taken under the service lock, so grouped counter updates are
-        never observed half-done; the cache counters are read *after*
-        the request counters (still under the lock), which guarantees
-        ``served_from_cache <= cache.hits`` in every snapshot.
+        The registry snapshot is taken under the service lock, so
+        grouped counter updates (a request and its outcome) are never
+        observed half-done; and because the cache counts a hit before
+        the service counts the cache-served request, the atomic
+        snapshot guarantees ``served_from_cache <= cache.hits``.
         """
         with self._lock:
-            outcome = self._m_outcomes.value
-            stages: dict[str, StageStat] = {}
-            for labels, child in self._m_stage.children():
-                stages[labels["stage"]] = StageStat(
-                    total_seconds=child.sum,
-                    count=child.count,
-                    leaf=labels["kind"] == "leaf",
-                )
-            snapshot = dict(
-                requests=int(self._m_requests.value()),
-                translated=int(outcome(outcome="translated")),
-                served_from_cache=int(outcome(outcome="cache_hit")),
-                deduplicated=int(outcome(outcome="deduplicated")),
-                errors=int(outcome(outcome="error")),
-                batches=int(self._m_batches.value()),
-                batch_questions=int(self._m_batch_questions.value()),
-                batch_seconds=self._m_batch_seconds.value(),
-                busy_seconds=self._m_translate.sum(),
-                stages=stages,
-                lint_errors=int(self._m_lint.value(severity="error")),
-                lint_warnings=int(
-                    self._m_lint.value(severity="warning")
-                ),
-                lint_infos=int(self._m_lint.value(severity="info")),
-                kb_lint_errors=int(
-                    self._m_kb_lint.value(severity="error")
-                ),
-                kb_lint_warnings=int(
-                    self._m_kb_lint.value(severity="warning")
-                ),
-                kb_lint_infos=int(
-                    self._m_kb_lint.value(severity="info")
-                ),
-                slow_queries=int(self._m_slow.value()),
-                degraded=int(self._m_degraded.value()),
-                retries=int(self._m_retries.value()),
-                breaker_rejections=int(
-                    self._m_breaker_rejections.value()
-                ),
-            )
-            planner = getattr(self.nl2cm, "planner", None)
-            if planner is not None:
-                plans = planner.snapshot()
-                snapshot.update(
-                    plan_cache_hits=plans.hits,
-                    plan_cache_misses=plans.misses,
-                    plan_cache_invalidations=plans.invalidations,
-                    plans_compiled=plans.compiled,
-                )
-            cache_stats = (
-                self.cache.stats() if self.cache is not None else None
-            )
-        return ServiceStats(
-            cache=cache_stats, workers=self.workers, **snapshot
-        )
+            samples = self.registry.samples()
+        return ServiceStats.from_samples(samples)
 
     def reset_stats(self) -> None:
         """Zero the counters (cache contents are kept).

@@ -19,8 +19,9 @@ The pieces, bottom-up:
   per-shard service recipe;
 * :mod:`repro.serving.worker` — the spawn-safe worker entrypoint and
   its op loop;
-* :mod:`repro.serving.stats` — cross-shard stats merging and the
-  serving counter identity;
+* :mod:`repro.serving.stats` — the global :class:`ServingStats` view
+  (per-shard and merged ``ServiceStats`` read from the workers'
+  registry expositions) and the serving counter identity;
 * :mod:`repro.serving.shards` — :class:`ShardManager`: dispatch,
   admission control, crash recovery;
 * :mod:`repro.serving.frontend` — :class:`HTTPFrontend`: the HTTP/JSON
@@ -40,13 +41,7 @@ from repro.serving.frames import (
 from repro.serving.frontend import HTTPFrontend
 from repro.serving.hashring import HashRing
 from repro.serving.shards import RemoteOutcome, ShardManager
-from repro.serving.stats import (
-    ServingStats,
-    ShardSnapshot,
-    merge_service_stats,
-    service_stats_from_dict,
-    service_stats_to_dict,
-)
+from repro.serving.stats import ServingStats, ShardSnapshot
 from repro.serving.worker import serve_worker, worker_main
 
 __all__ = [
@@ -61,9 +56,6 @@ __all__ = [
     "WorkerSpec",
     "decode_frame",
     "encode_frame",
-    "merge_service_stats",
     "serve_worker",
-    "service_stats_from_dict",
-    "service_stats_to_dict",
     "worker_main",
 ]

@@ -18,8 +18,9 @@ endpoint                 semantics
                          ``?format=panel`` for the admin-panel text render)
 ``GET /healthz``         200 with per-shard liveness while every worker is
                          alive, 503 otherwise (load-balancer probe shape)
-``GET /metrics``         Prometheus text exposition of the shared registry
-                         (serving + HTTP series in one scrape)
+``GET /metrics``         Prometheus text exposition of the whole tier: the
+                         serving + HTTP series, then every shard's worker
+                         series labelled ``shard="i"``
 =======================  ====================================================
 
 Serving-layer outcomes map onto status codes the way an operator
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -75,9 +77,40 @@ def _status_for_outcome(outcome: RemoteOutcome) -> int:
 class _Server(ThreadingHTTPServer):
     # Non-daemon handler threads + block_on_close: server_close() joins
     # in-flight handlers, which is the graceful-drain half of shutdown.
+    # A handler idle between keep-alive requests would block that join
+    # for as long as its client stays connected, so server_close() first
+    # shuts the read side of idle connections (their pending read sees
+    # EOF), and busy handlers close theirs once the response is out.
     daemon_threads = False
     block_on_close = True
     frontend: "HTTPFrontend"
+
+    def __init__(self, address, handler_class):
+        super().__init__(address, handler_class)
+        self._conn_lock = threading.Lock()
+        self._idle: dict[_Handler, bool] = {}
+        self._draining = False
+
+    def track(self, handler: "_Handler", idle: bool) -> bool:
+        """Record a connection's state; False once the server drains."""
+        with self._conn_lock:
+            self._idle[handler] = idle
+            draining = self._draining
+        if draining and idle:
+            handler.shut_read()
+        return not draining
+
+    def untrack(self, handler: "_Handler") -> None:
+        with self._conn_lock:
+            self._idle.pop(handler, None)
+
+    def server_close(self) -> None:
+        with self._conn_lock:
+            self._draining = True
+            idle = [h for h, is_idle in self._idle.items() if is_idle]
+        for handler in idle:
+            handler.shut_read()
+        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -86,6 +119,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - http.server API
         pass  # request logging is the metrics' job, not stderr's
+
+    def handle(self):
+        self.server.track(self, idle=True)
+        try:
+            super().handle()
+        finally:
+            self.server.untrack(self)
+
+    def parse_request(self):
+        # The request line has arrived: this connection is now busy.
+        self.server.track(self, idle=False)
+        return super().parse_request()
+
+    def handle_one_request(self):
+        super().handle_one_request()
+        if not self.server.track(self, idle=True):
+            self.close_connection = True  # draining: no next request
+
+    def shut_read(self) -> None:
+        """EOF for the pending read; received bytes stay readable."""
+        try:
+            self.connection.shutdown(socket.SHUT_RD)
+        except OSError:  # already closed by the peer
+            pass
 
     def do_GET(self):  # noqa: N802 - http.server API
         self.server.frontend.dispatch(self, "GET")
@@ -157,6 +214,9 @@ class HTTPFrontend:
 
     def close(self) -> None:
         """Stop accepting, drain in-flight handlers, release the port.
+
+        In-flight requests are answered; keep-alive connections idle
+        between requests are closed rather than waited on.
 
         Idempotent; does **not** close the manager (callers own that
         ordering — HTTP first so no new work arrives, workers second).
@@ -425,7 +485,7 @@ class HTTPFrontend:
         )
 
     def _get_metrics(self, handler) -> int:
-        body = self.manager.registry.expose().encode("utf-8")
+        body = self.manager.expose().encode("utf-8")
         return self._send_bytes(
             handler, 200, body, METRICS_CONTENT_TYPE
         )

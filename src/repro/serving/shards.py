@@ -35,14 +35,17 @@ keyspace, and one framed channel per worker.  The pieces:
   failure leaves the worker cold, never down), and happens while only
   the dead shard's dispatch lock is held — admission control and the
   other shards are never blocked by it.
-* **Stats** — :meth:`stats` probes every shard and returns a
+* **Stats** — one probe asks every worker for its registry exposition
+  and keeps each shard's *lifetime* metrics snapshot: a **carry-forward**
+  of its dead predecessors' counters (folded in at restart, gauges
+  dropped) plus the live worker's last probed snapshot — so per-shard
+  and merged counters are monotone non-decreasing across crashes, as
+  Prometheus counter semantics require.  :meth:`stats` reads those
+  snapshots through ``ServiceStats.from_samples`` into a
   :class:`~repro.serving.stats.ServingStats` whose counter identity
   ``requests == translated + served_from_cache + deduplicated +
-  errors + shed`` holds in every snapshot.  Each shard's view is the
-  sum of a **carry-forward baseline** (counters of its dead
-  predecessors, folded in at restart) and the live worker's last
-  probed snapshot — so the merged counters are monotone non-decreasing
-  across crashes, as Prometheus counter semantics require.
+  errors + shed`` holds in every snapshot; :meth:`expose` renders the
+  same snapshots, ``shard``-labelled, after the manager's own series.
 
 Everything here is stdlib: ``multiprocessing`` for the processes, a
 loopback TCP listener the workers dial back into (spawn-safe on every
@@ -72,21 +75,23 @@ from repro.errors import (
     ShardTimeoutError,
     WorkerCrashedError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    Samples,
+    label_samples,
+    merge_samples,
+    parse_prometheus_text,
+    render_samples,
+    without_gauges,
+)
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.config import WorkerSpec
 from repro.serving.frames import FrameChannel
 from repro.serving.hashring import HashRing
-from repro.serving.stats import (
-    ServingStats,
-    ShardSnapshot,
-    carry_baseline,
-    empty_service_stats,
-    merge_service_stats,
-    service_stats_from_dict,
-)
+from repro.serving.stats import ServingStats, ShardSnapshot
 from repro.serving.worker import _process_entry, worker_main
 from repro.service.cache import TranslationCache
+from repro.service.service import ServiceStats
 
 __all__ = ["RemoteOutcome", "ShardManager"]
 
@@ -94,6 +99,9 @@ __all__ = ["RemoteOutcome", "ShardManager"]
 #: daemon threads in-process — protocol-identical, no process isolation;
 #: it exists for tests and debugging, not for CPU scaling.
 START_METHODS = ("spawn", "fork", "forkserver", "thread")
+
+#: Per-shard budget of a ``stats`` probe (``stats()`` and ``expose()``).
+_PROBE_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -357,14 +365,14 @@ class ShardManager:
         self._shadow = _ShadowIndex(
             capacity=max(256, self.warmup_keys * shards * 4)
         ) if self.warmup_keys else None
-        # Per-shard carry-forward stats: the summed counters of a
-        # shard's dead predecessors (gauges zeroed), plus the live
+        # Per-shard metrics snapshots: the summed counters of a shard's
+        # dead predecessors (gauge families dropped), plus the live
         # worker's last successfully probed snapshot.  Both are only
         # written under self._lock; _restart_locked folds last_seen
         # into carry atomically, so carry[i] + last_seen[i] is monotone
-        # non-decreasing per counter field across restarts.
-        self._carry = [empty_service_stats() for _ in range(shards)]
-        self._last_seen = [empty_service_stats() for _ in range(shards)]
+        # non-decreasing per counter sample across restarts.
+        self._carry: list[Samples] = [{} for _ in range(shards)]
+        self._last_seen: list[Samples] = [{} for _ in range(shards)]
         self._build_metrics(shards)
         self._gates = [
             _AdmissionGate(
@@ -559,11 +567,11 @@ class ShardManager:
             # caller holds handle.lock, so no stats probe of this shard
             # can interleave between the fold and the reset — the sum
             # carry + last_seen never moves backwards.
-            self._carry[handle.shard] = merge_service_stats([
+            self._carry[handle.shard] = merge_samples([
                 self._carry[handle.shard],
-                carry_baseline(self._last_seen[handle.shard]),
+                without_gauges(self._last_seen[handle.shard]),
             ])
-            self._last_seen[handle.shard] = empty_service_stats()
+            self._last_seen[handle.shard] = {}
         self._launch(handle)
         channel, pid, fingerprint = self._accept_hello(handle.shard)
         handle.channel = channel
@@ -763,11 +771,10 @@ class ShardManager:
                     # cannot interleave, so a pre-crash snapshot can
                     # never land *after* its own epoch was folded (which
                     # would double-count it).
+                    text = reply.get("metrics")
                     try:
-                        parsed = service_stats_from_dict(
-                            reply.get("stats") or {}
-                        )
-                    except (TypeError, ValueError, KeyError):
+                        parsed = parse_prometheus_text(text)
+                    except (TypeError, AttributeError, ValueError):
                         parsed = None  # malformed snapshot: keep the old
                     if parsed is not None:
                         with self._lock:
@@ -1042,42 +1049,51 @@ class ShardManager:
     def closed(self) -> bool:
         return self._closed
 
-    def stats(self, timeout: float = 10.0) -> ServingStats:
-        """The global view: per-shard snapshots, merged total, and the
-        front-end counters; the serving counter identity holds in every
-        snapshot because ``requests`` is derived, never sampled.
+    def _probe(self, timeout: float) -> list[tuple[bool, Samples]]:
+        """``(alive, lifetime snapshot)`` per shard, freshly probed.
 
-        Each shard's view is its carry-forward baseline (dead
-        predecessors' counters) plus the live worker's last probed
-        snapshot — the probe here refreshes the latter (inside
-        :meth:`_roundtrip`, under the handle lock, so it can never race
-        a restart's fold).  The per-shard sums, and therefore the
-        merged total, are **monotone non-decreasing** across worker
-        crashes: a restart folds, never zeroes.
+        A successful ``stats`` roundtrip refreshes the last-seen
+        snapshot inside :meth:`_roundtrip` (under the handle lock, so
+        never racing a restart's fold); a failed probe keeps the last
+        known one, so nothing moves backwards.
         """
-        self._ensure_open()
-        snapshots = []
+        probed = []
         for handle in self._handles:
             try:
-                # The reply is consumed inside _roundtrip: a successful
-                # stats probe updates _last_seen under the handle lock.
                 self._roundtrip(handle, {"op": "stats"}, timeout)
                 alive = True
             except ReproError:
                 alive = False
             with self._lock:
-                shard_stats = merge_service_stats([
+                lifetime = merge_samples([
                     self._carry[handle.shard],
                     self._last_seen[handle.shard],
                 ])
-            snapshots.append(ShardSnapshot(
+            probed.append((alive and handle.alive(), lifetime))
+        return probed
+
+    def stats(self, timeout: float = _PROBE_SECONDS) -> ServingStats:
+        """The global view: per-shard snapshots, merged total, and the
+        front-end counters; the serving counter identity holds in every
+        snapshot because ``requests`` is derived, never sampled.
+
+        Per-shard views and the merged total are **monotone
+        non-decreasing** across worker crashes: a restart folds, never
+        zeroes.
+        """
+        self._ensure_open()
+        probed = self._probe(timeout)
+        snapshots = tuple(
+            ShardSnapshot(
                 shard=handle.shard,
                 pid=handle.pid,
-                alive=alive and handle.alive(),
+                alive=alive,
                 pending=self._gates[handle.shard].depth,
                 restarts=handle.restarts,
-                stats=shard_stats,
-            ))
+                stats=ServiceStats.from_samples(lifetime),
+            )
+            for handle, (alive, lifetime) in zip(self._handles, probed)
+        )
         with self._lock:
             shed_queue = int(self._c_shed_queue.value)
             shed_breaker = int(self._c_shed_breaker.value)
@@ -1089,8 +1105,10 @@ class ShardManager:
             warmups_failed = int(self._c_warmup_failed.value)
             warmup_entries = int(self._c_warmup_entries.value)
         return ServingStats(
-            shards=tuple(snapshots),
-            total=merge_service_stats([s.stats for s in snapshots]),
+            shards=snapshots,
+            total=ServiceStats.from_samples(
+                merge_samples(lifetime for _, lifetime in probed)
+            ),
             shed=shed_queue + shed_breaker,
             shed_queue_full=shed_queue,
             shed_breaker_open=shed_breaker,
@@ -1102,6 +1120,22 @@ class ShardManager:
             cache_warmups_failed=warmups_failed,
             cache_warmup_entries=warmup_entries,
         )
+
+    def expose(self) -> str:
+        """The tier's Prometheus exposition (``GET /metrics``).
+
+        The manager's own ``serving_*`` series, then every shard's
+        lifetime worker series with a ``shard="i"`` label — the same
+        probed snapshots :meth:`stats` reads, one header per family.
+        """
+        probed = self._probe(_PROBE_SECONDS)
+        return render_samples(merge_samples([
+            self.registry.samples(),
+            *(
+                label_samples(lifetime, shard=str(handle.shard))
+                for handle, (_, lifetime) in zip(self._handles, probed)
+            ),
+        ]))
 
     # -- shutdown --------------------------------------------------------------
 

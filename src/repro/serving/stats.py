@@ -1,12 +1,14 @@
-"""Cross-shard statistics: serialization, merging, and the global view.
+"""Cross-shard statistics: the global view and its counter identity.
 
-Each worker answers a ``stats`` frame with its own
-:class:`~repro.service.service.ServiceStats` snapshot (internally
-consistent — taken under the worker's service lock).  The shard
-manager stitches those into one :class:`ServingStats`: the per-shard
-snapshots, the merged total, and the front-end-only counters (shed,
-dispatch errors, deadline expiries, restarts) that no worker can know
-about.
+Each worker answers a ``stats`` frame with its registry's Prometheus
+exposition; the shard manager parses it back into a metrics snapshot
+(:func:`~repro.obs.metrics.parse_prometheus_text`), keeps each shard's
+lifetime snapshot, and reads every number through the one view,
+:meth:`ServiceStats.from_samples
+<repro.service.service.ServiceStats.from_samples>` — for each
+:class:`ShardSnapshot` and for the merged total.  :class:`ServingStats`
+adds the front-end-only counters (shed, dispatch errors, deadline
+expiries, restarts) that no worker can know about.
 
 The serving-level counter identity extends the service one::
 
@@ -20,11 +22,11 @@ internally consistent and the front-end counters are read once.  A
 request that timed out at the front-end but completes in the worker is
 counted by the worker (as whatever outcome it reached) and tracked in
 ``deadline_expired`` separately.  A worker restart loses the dead
-process's registry, but the manager keeps per-shard **carry-forward**
-baselines (the last snapshot seen before the crash, gauge fields
-zeroed via :func:`carry_baseline`) and folds them into every later
-snapshot — so the merged counters are monotone non-decreasing across
-restarts, as Prometheus counter semantics require; ``restarts``
+process's registry, but the manager carries its last snapshot forward
+— counter and histogram families only
+(:func:`~repro.obs.metrics.without_gauges`): the replacement reports
+its own gauges — so the merged counters are monotone non-decreasing
+across restarts, as Prometheus counter semantics require; ``restarts``
 records how often that happened.
 
 Zero-traffic edges are first-class here: a fresh shard, an all-shed
@@ -36,175 +38,19 @@ of these down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass
 
-from repro.service.cache import CacheStats
-from repro.service.service import ServiceStats, StageStat
+from repro.service.service import ServiceStats
 
-__all__ = [
-    "ServingStats",
-    "ShardSnapshot",
-    "carry_baseline",
-    "merge_service_stats",
-    "service_stats_from_dict",
-    "service_stats_to_dict",
-]
-
-#: ServiceStats fields merged by plain summation.
-_SUM_FIELDS = (
-    "requests", "translated", "served_from_cache", "deduplicated",
-    "errors", "batches", "batch_questions", "batch_seconds",
-    "busy_seconds", "workers", "lint_errors", "lint_warnings",
-    "lint_infos", "kb_lint_errors", "kb_lint_warnings", "kb_lint_infos",
-    "slow_queries", "degraded", "retries", "breaker_rejections",
-    "plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations",
-    "plans_compiled",
-)
-
-_CACHE_FIELDS = (
-    "hits", "misses", "evictions", "size", "capacity", "insertions",
-    "warmed",
-)
-
-#: ServiceStats fields that are gauges, not counters: summing them
-#: across a dead worker's baseline and its replacement's live snapshot
-#: would double-count (two capacities for one cache, two kb-lint
-#: reports for one KB).  :func:`carry_baseline` zeroes these.
-_GAUGE_FIELDS = (
-    "workers", "kb_lint_errors", "kb_lint_warnings", "kb_lint_infos",
-)
-
-
-def empty_service_stats() -> ServiceStats:
-    """An all-zero snapshot (what a dead or brand-new shard reports)."""
-    zeros = {name: 0 for name in _SUM_FIELDS}
-    zeros["batch_seconds"] = 0.0
-    zeros["busy_seconds"] = 0.0
-    return ServiceStats(stages={}, cache=None, **zeros)
-
-
-def service_stats_to_dict(stats: ServiceStats) -> dict:
-    """A JSON-safe rendering of one snapshot (the ``stats`` frame body)."""
-    out = {name: getattr(stats, name) for name in _SUM_FIELDS}
-    out["stages"] = {
-        name: {
-            "total_seconds": stage.total_seconds,
-            "count": stage.count,
-            "leaf": stage.leaf,
-        }
-        for name, stage in stats.stages.items()
-    }
-    out["cache"] = (
-        {name: getattr(stats.cache, name) for name in _CACHE_FIELDS}
-        if stats.cache is not None else None
-    )
-    return out
-
-
-def service_stats_from_dict(payload: dict) -> ServiceStats:
-    """Rebuild a snapshot from a ``stats`` frame body.
-
-    Missing keys default to zero, so a newer front-end reading an older
-    worker's snapshot degrades gracefully instead of crashing.
-    """
-    kwargs = {
-        name: payload.get(name, 0) for name in _SUM_FIELDS
-    }
-    stages = {
-        name: StageStat(
-            total_seconds=float(entry.get("total_seconds", 0.0)),
-            count=int(entry.get("count", 0)),
-            leaf=bool(entry.get("leaf", True)),
-        )
-        for name, entry in (payload.get("stages") or {}).items()
-    }
-    cache_payload = payload.get("cache")
-    cache = (
-        CacheStats(**{
-            name: int(cache_payload.get(name, 0))
-            for name in _CACHE_FIELDS
-        })
-        if cache_payload is not None else None
-    )
-    return ServiceStats(stages=stages, cache=cache, **kwargs)
-
-
-def carry_baseline(stats: ServiceStats) -> ServiceStats:
-    """A dead worker's snapshot, reduced to what must be carried.
-
-    Counters (requests, outcomes, cache hits, accumulated seconds,
-    stage aggregates) are the history a restart must not erase — they
-    carry forward verbatim.  Gauge-like fields describe the *current*
-    process, which no longer exists: the replacement worker reports its
-    own cache size/capacity, fan-out width and KB-lint mirror, so the
-    baseline zeroes them to keep the merged view from double-counting.
-    """
-    cache = stats.cache
-    if cache is not None:
-        cache = CacheStats(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            size=0,
-            capacity=0,
-            insertions=cache.insertions,
-            warmed=cache.warmed,
-        )
-    return replace(
-        stats, cache=cache, **{name: 0 for name in _GAUGE_FIELDS}
-    )
-
-
-def merge_service_stats(parts: list[ServiceStats]) -> ServiceStats:
-    """Sum per-shard snapshots into one service-level total.
-
-    Counters and accumulated seconds add; per-stage aggregates merge by
-    stage name (self-times still tile each shard's busy time, so the
-    merged stage totals tile the merged ``busy_seconds``).  Cache
-    counters add when *any* shard has a cache — capacity and size sum,
-    which keeps ``hit_rate`` meaningful as the traffic-weighted global
-    rate; with no caches anywhere the merged snapshot has ``cache=None``
-    like a cache-less service.  An empty ``parts`` list merges to the
-    all-zero snapshot, on which every derived rate is ``0.0`` (the
-    guards in :class:`ServiceStats` and :class:`CacheStats` divide only
-    behind non-zero checks — the merge tests cover each property).
-    """
-    totals = {name: 0 for name in _SUM_FIELDS}
-    totals["batch_seconds"] = 0.0
-    totals["busy_seconds"] = 0.0
-    stages: dict[str, StageStat] = {}
-    cache_totals = {name: 0 for name in _CACHE_FIELDS}
-    any_cache = False
-    for part in parts:
-        for name in _SUM_FIELDS:
-            totals[name] += getattr(part, name)
-        for name, stage in part.stages.items():
-            seen = stages.get(name)
-            if seen is None:
-                stages[name] = stage
-            else:
-                stages[name] = StageStat(
-                    total_seconds=seen.total_seconds + stage.total_seconds,
-                    count=seen.count + stage.count,
-                    # A stage that is a leaf in one shard is a leaf in
-                    # all (the pipeline shape is identical); keep the
-                    # first sighting.
-                    leaf=seen.leaf,
-                )
-        if part.cache is not None:
-            any_cache = True
-            for name in _CACHE_FIELDS:
-                cache_totals[name] += getattr(part.cache, name)
-    cache = CacheStats(**cache_totals) if any_cache else None
-    return ServiceStats(stages=stages, cache=cache, **totals)
+__all__ = ["ServingStats", "ShardSnapshot"]
 
 
 @dataclass(frozen=True)
 class ShardSnapshot:
     """One shard's worker, as the manager saw it at snapshot time.
 
-    ``stats`` is the shard's *lifetime* view: the carry-forward
-    baseline of its dead predecessors plus the live worker's last
+    ``stats`` is the shard's *lifetime* view: the carried-forward
+    counters of its dead predecessors plus the live worker's last
     probed snapshot.  ``alive=False`` means the probe failed (worker
     crashed or restarting); the shard still participates in the merge
     with whatever was last known, so the global identity keeps holding
@@ -225,7 +71,7 @@ class ShardSnapshot:
             "alive": self.alive,
             "pending": self.pending,
             "restarts": self.restarts,
-            "stats": service_stats_to_dict(self.stats),
+            "stats": asdict(self.stats),
         }
 
 
@@ -316,18 +162,10 @@ class ServingStats:
             "cache_warmups_failed": self.cache_warmups_failed,
             "cache_warmup_entries": self.cache_warmup_entries,
             "alive_shards": self.alive_shards,
-            "total": service_stats_to_dict(self.total),
+            "total": asdict(self.total),
             "mean_translation_ms": self.total.mean_translation_ms,
             "batch_throughput_qps": self.total.batch_throughput_qps,
             "cache_hit_rate": self.total.cache_hit_rate,
             "plan_cache_hit_rate": self.total.plan_cache_hit_rate,
             "shards": [shard.to_dict() for shard in self.shards],
         }
-
-
-# Sanity: every summed field name really is a ServiceStats field (guards
-# against silent drift when ServiceStats grows a counter).
-_KNOWN = {f.name for f in fields(ServiceStats)}
-for _name in _SUM_FIELDS:
-    if _name not in _KNOWN:  # pragma: no cover - import-time assertion
-        raise AssertionError(f"unknown ServiceStats field {_name!r}")

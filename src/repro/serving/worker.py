@@ -18,7 +18,9 @@ batch      many questions through ``translate_batch`` (single-
            flight dedup and the LRU stay shard-local — which is why
            routing is consistent-hash in the first place)
 lint       static analysis of a saved query or a question
-stats      the shard's ``ServiceStats`` snapshot, JSON-encoded
+stats      the shard's metrics registry as Prometheus text
+           (``registry.expose()``); the manager parses it back and
+           reads it through ``ServiceStats.from_samples``
 cache_export  the shard's hottest cache entries (text, fingerprint,
            serialized query text), hottest-first — the donate side
            of the warm-restart protocol
@@ -50,7 +52,6 @@ from typing import TYPE_CHECKING
 from repro.errors import ChannelClosedError, ReproError, VerificationError
 from repro.serving.config import WorkerSpec
 from repro.serving.frames import KNOWN_OPS, FrameChannel
-from repro.serving.stats import service_stats_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import TranslationService
@@ -183,10 +184,9 @@ def _handle(
     if op == "lint":
         return _handle_lint(service, request)
     if op == "stats":
-        return {
-            "ok": True,
-            "stats": service_stats_to_dict(service.stats()),
-        }
+        # The loop serves one frame at a time, so no request is half
+        # counted while the registry is exposed.
+        return {"ok": True, "metrics": service.registry.expose()}
     if op == "cache_export":
         try:
             n = int(request.get("n", 0))

@@ -206,18 +206,20 @@ def render_metrics(registry: "MetricsRegistry") -> str:
     gauges: list[list[str]] = []
     histograms: list[list[str]] = []
     for family in registry:
-        if family.kind == "gauge" and family._callback is not None:
-            family.labels()  # materialize, as expose() does
-        for labels, child in family.children():
+        entries = (
+            family.children() if family.kind == "histogram"
+            else family.series()
+        )
+        for labels, child in entries:
             series = family.name
             if labels:
                 series += "{" + ",".join(
                     f"{k}={v}" for k, v in sorted(labels.items())
                 ) + "}"
             if family.kind == "counter":
-                counters.append([series, f"{child.value:g}"])
+                counters.append([series, f"{child:g}"])
             elif family.kind == "gauge":
-                gauges.append([series, f"{child.value:g}"])
+                gauges.append([series, f"{child:g}"])
             elif family.kind == "histogram":
                 count = child.count
                 mean = child.sum / count if count else 0.0

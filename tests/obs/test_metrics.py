@@ -51,6 +51,37 @@ class TestCounter:
             c.labels(other="x")
 
 
+class TestCallbacks:
+    def test_labeled_callback_counter_reads_live_state(self, registry):
+        state = {"hit": 2, "miss": 1}
+        c = registry.counter(
+            "lookups_total", "lookups", labelnames=("result",),
+            callback=lambda: {(k,): v for k, v in state.items()},
+        )
+        state["hit"] = 5
+        assert c.value(result="hit") == 5.0
+        assert c.value(result="never") == 0.0
+        text = registry.expose()
+        assert 'lookups_total{result="hit"} 5' in text
+        assert 'lookups_total{result="miss"} 1' in text
+
+    def test_callbacks_bound_to_one_name_sum(self, registry):
+        registry.gauge("size", "size", callback=lambda: 3)
+        g = registry.gauge("size", "size", callback=lambda: 4)
+        assert g.value() == 7.0
+        assert "size 7" in registry.expose().splitlines()
+
+    def test_callback_counter_cannot_be_incremented(self, registry):
+        c = registry.counter("n_total", "n", callback=lambda: 1)
+        with pytest.raises(MetricsError, match="cannot be set"):
+            c.inc()
+
+    def test_recording_family_refuses_a_callback(self, registry):
+        registry.counter("n_total", "n").inc()
+        with pytest.raises(MetricsError, match="already records"):
+            registry.counter("n_total", "n", callback=lambda: 1)
+
+
 class TestGauge:
     def test_set_inc_dec(self, registry):
         g = registry.gauge("depth", "queue depth")

@@ -217,3 +217,133 @@ class TestSharedRegistry:
         assert registry.get("nl2cm_requests_total").value() == 2.0
         # Each service's stats view reads the shared totals.
         assert a.stats().requests == b.stats().requests == 2
+
+
+class TestStatsIsARegistryView:
+    def test_cache_and_planner_fields_match_their_own_counters(
+        self, ontology, corpus_texts
+    ):
+        """stats() reads the registry, never the cache or planner; the
+        mirrored series must agree with their own counters."""
+        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.terms import IRI, Variable
+
+        nl2cm = NL2CM(ontology=ontology)
+        service = TranslationService(nl2cm, workers=4, cache=16)
+        service.translate_batch(corpus_texts)
+        service.translate_batch(corpus_texts[:10])
+        for text in corpus_texts[:5]:
+            service.translate(text)
+        bgp = [TriplePattern(
+            Variable("x"), IRI("http://repro.example/kb/instanceOf"),
+            IRI("http://repro.example/kb/Place"),
+        )]
+        for _ in range(3):
+            list(nl2cm.planner.solutions(ontology.store, bgp))
+
+        stats = service.stats()
+        assert stats.cache == service.cache.stats()
+        assert stats.cache.hits and stats.cache.evictions
+        plans = nl2cm.planner.snapshot()
+        assert plans.hits == 2
+        assert (
+            stats.plan_cache_hits, stats.plan_cache_misses,
+            stats.plan_cache_invalidations, stats.plans_compiled,
+        ) == (plans.hits, plans.misses, plans.invalidations, plans.compiled)
+
+    @staticmethod
+    def _plan_fields(stats):
+        return (
+            stats.plan_cache_hits, stats.plan_cache_misses,
+            stats.plan_cache_invalidations, stats.plans_compiled,
+        )
+
+    @staticmethod
+    def _place_lookups(nl2cm, ontology, n):
+        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.terms import IRI, Variable
+
+        bgp = [TriplePattern(
+            Variable("x"), IRI("http://repro.example/kb/instanceOf"),
+            IRI("http://repro.example/kb/Place"),
+        )]
+        for _ in range(n):
+            list(nl2cm.planner.solutions(ontology.store, bgp))
+
+    def test_translator_shared_by_two_registries(self, ontology):
+        """Each service's view reads the planner's whole count, lookups
+        made before either service was built included."""
+        nl2cm = NL2CM(ontology=ontology)
+        self._place_lookups(nl2cm, ontology, 2)
+        a = TranslationService(nl2cm, cache=None)
+        b = TranslationService(nl2cm, cache=None)
+        self._place_lookups(nl2cm, ontology, 3)
+        plans = nl2cm.planner.snapshot()
+        assert plans.hits == 4
+        expected = (
+            plans.hits, plans.misses, plans.invalidations, plans.compiled
+        )
+        assert self._plan_fields(a.stats()) == expected
+        assert self._plan_fields(b.stats()) == expected
+
+    def test_reset_stats_keeps_planner_counts(self, ontology):
+        """reset_stats() zeroes the service and its cache, not the
+        translator's planner (whose counters it does not own)."""
+        nl2cm = NL2CM(ontology=ontology)
+        service = TranslationService(nl2cm, cache=8)
+        self._place_lookups(nl2cm, ontology, 2)
+        service.reset_stats()
+        assert self._plan_fields(service.stats()) == (1, 1, 0, 1)
+
+    def test_cache_clear_reads_through(self, ontology, corpus_texts):
+        service = TranslationService(NL2CM(ontology=ontology), cache=4)
+        service.translate_batch(corpus_texts[:6] * 2)
+        assert service.stats().cache.evictions
+        service.cache.clear()
+        stats = service.stats()
+        assert stats.cache == service.cache.stats()
+        assert stats.cache.hits == stats.cache.size == 0
+
+    def test_shared_registry_sums_every_cache(self, ontology):
+        """Two caches on one registry: every cache field of the view is
+        the sum of both, size and capacity included."""
+        registry = MetricsRegistry()
+        nl2cm = NL2CM(ontology=ontology)
+        a = TranslationService(nl2cm, cache=8, registry=registry)
+        b = TranslationService(nl2cm, cache=4, registry=registry)
+        question = "Where do you visit in Buffalo?"
+        a.translate(question)
+        a.translate(question)
+        b.translate(question)
+        left, right = a.cache.stats(), b.cache.stats()
+        for service in (a, b):
+            cache = service.stats().cache
+            assert (cache.hits, cache.misses) == (1, 2)
+            assert cache.size == left.size + right.size == 2
+            assert cache.capacity == left.capacity + right.capacity == 12
+            assert service.stats().served_from_cache <= cache.hits
+        # The shared translator's planner is bound once, not twice.
+        self._place_lookups(nl2cm, ontology, 2)
+        plans = nl2cm.planner.snapshot()
+        assert plans.hits >= 1
+        assert self._plan_fields(a.stats()) == (
+            plans.hits, plans.misses, plans.invalidations, plans.compiled
+        )
+
+
+def test_render_metrics_reads_callback_series(ontology):
+    """The admin metrics panel shows callback-backed series (the cache's
+    counters and gauges) beside recorded ones."""
+    from repro.ui.admin import render_metrics
+
+    service = TranslationService(NL2CM(ontology=ontology), cache=8)
+    service.translate("Where do you visit in Buffalo?")
+    service.translate("Where do you visit in Buffalo?")
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in render_metrics(service.registry).splitlines()[1:]
+        if line.strip() and not line.startswith(("-", "counter", "gauge"))
+    }
+    assert rows["nl2cm_cache_lookups_total{result=hit}"] == ["1"]
+    assert rows["nl2cm_cache_size"] == ["1"]
+    assert rows["nl2cm_translate_seconds"][0] == "1"

@@ -1,7 +1,9 @@
 """Tests for the HTTP/JSON front-end: endpoints, status mapping,
 load shedding over HTTP, and the metrics exposition."""
 
+import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -283,6 +285,60 @@ class TestMetrics:
         assert samples.get(key, 0) >= 1
 
 
+    def test_shard_summed_requests_equal_stats_total(self, frontend):
+        """One set of numbers: the workers' request counters in
+        /metrics, summed over shards, are /stats total.requests."""
+        _request(
+            frontend, "/batch", {"questions": SUPPORTED + [UNSUPPORTED]}
+        )
+        _, _, body = _request(frontend, "/metrics")
+        samples = parse_prometheus_text(body)["nl2cm_requests_total"][
+            "samples"
+        ]
+        assert {dict(labels)["shard"] for _, labels in samples} == {
+            "0", "1",
+        }
+        _, _, stats = _request(frontend, "/stats")
+        assert sum(samples.values()) == stats["total"]["requests"] > 0
+
+
+@pytest.mark.slow
+class TestSpawnMetrics:
+    def test_worker_histograms_reach_metrics_with_shard_label(self):
+        manager = ShardManager(
+            shards=2,
+            spec=WorkerSpec(cache_size=8),
+            start_method="spawn",
+            connect_timeout=120.0,
+        )
+        front = HTTPFrontend(manager)
+        try:
+            for question in SUPPORTED:
+                _request(front, "/translate", {"question": question})
+            _, _, body = _request(front, "/metrics")
+        finally:
+            front.close()
+            manager.close()
+        assert re.search(
+            r'^nl2cm_stage_seconds_bucket\{[^}]*shard="[01]"[^}]*\} \d',
+            body, re.MULTILINE,
+        )
+        types = [
+            line.split()[2] for line in body.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert len(types) == len(set(types))
+        parsed = parse_prometheus_text(body)
+        counts = [
+            value
+            for (name, _), value in parsed["nl2cm_stage_seconds"][
+                "samples"
+            ].items()
+            if name == "nl2cm_stage_seconds_count"
+        ]
+        assert counts and all(value > 0 for value in counts)
+
+
 class TestLoadShedding:
     def test_saturation_returns_429_with_retry_after(self):
         """The acceptance scenario: saturate a 1-shard tier and require
@@ -361,3 +417,47 @@ class TestFrontendLifecycle:
             assert body["error"]["type"] == "ServingError"
         finally:
             front.close()
+
+    def test_close_drains_with_an_idle_keepalive_connection(self):
+        """close() must not wait on a client that keeps an idle
+        keep-alive connection open, yet a request in flight during
+        close() still gets its answer."""
+        manager = ShardManager(
+            shards=1,
+            spec=WorkerSpec(cache_size=0, debug_ops=True),
+            start_method="thread",
+        )
+        front = HTTPFrontend(manager)
+        idle = http.client.HTTPConnection(front.host, front.port, timeout=60)
+        stall = threading.Thread(target=manager.debug_stall, args=(0, 1.0))
+        result = {}
+
+        def in_flight():
+            result["status"] = _request(
+                front, "/translate", {"question": SUPPORTED[0]}
+            )[0]
+
+        request = threading.Thread(target=in_flight)
+        closer = threading.Thread(target=front.close)
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            stall.start()
+            time.sleep(0.1)  # the stall now holds the shard
+            request.start()
+            deadline = time.monotonic() + 30.0
+            while (
+                manager.health()[0]["pending"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            closer.start()
+            closer.join(30.0)
+            assert not closer.is_alive(), "close() hung on the idle client"
+            request.join(30.0)
+            assert result["status"] == 200
+        finally:
+            stall.join(30.0)
+            idle.close()
+            front.close()
+            manager.close()

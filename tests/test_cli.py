@@ -176,6 +176,8 @@ class TestServeMode:
         assert "identity: holds" in err
         exposition = metrics_file.read_text("utf-8")
         assert "serving_http_requests_total" in exposition
+        # The flush is the full /metrics view: worker series included.
+        assert 'nl2cm_requests_total{shard="0"} 1' in exposition
 
 
 class TestSubprocess:
