@@ -6,10 +6,15 @@ at once.  This bench drives the same repeated-question trace through
 the process tier — real ``spawn`` workers behind consistent-hash
 routing — at 1, 2 and 4 shards, with caching **disabled** so every
 request is a genuine CPU-bound pipeline run and the measured curve is
-process parallelism, nothing else.
+process parallelism, nothing else.  The trace goes out one round per
+``submit_batch``: a round holds each question once, so a shard's
+single-flight dedup (which merges copies of a question *within* one
+batch) has nothing to merge.
 
-Two assertions:
+Three assertions:
 
+* **Every request is a pipeline run** (always enforced): the shards'
+  ``translated`` total equals the number of requests sent.
 * **Byte-identical outputs** at every shard count (always enforced):
   sharding is an execution detail, not a semantics change — the same
   trace must produce exactly the same query texts, in order, whether
@@ -39,12 +44,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def serving_trace() -> list[str]:
+def serving_rounds() -> list[list[str]]:
     texts = [q.text for q in supported_questions()]
-    return [t for _ in range(ROUNDS) for t in texts]
+    return [list(texts) for _ in range(ROUNDS)]
+
+
+def serving_trace() -> list[str]:
+    return [t for batch in serving_rounds() for t in batch]
 
 
 def test_bench_serving_scale(report_writer):
+    rounds = serving_rounds()
     trace = serving_trace()
     # cache_size=0 + threads=1: every request is one full pipeline run
     # on the owning shard — the only parallelism is the process tier.
@@ -57,13 +67,18 @@ def test_bench_serving_scale(report_writer):
             shards=shards, spec=spec, start_method="spawn",
             connect_timeout=180.0,
         ) as manager:
-            manager.submit_batch(trace[:4], timeout=300.0)  # warm-up
+            warmup = manager.submit_batch(trace[:4], timeout=300.0)
             start = time.perf_counter()
-            outcomes = manager.submit_batch(trace, timeout=600.0)
+            outcomes = [
+                outcome
+                for batch in rounds
+                for outcome in manager.submit_batch(batch, timeout=600.0)
+            ]
             elapsed = time.perf_counter() - start
             stats = manager.stats()
         assert all(o.ok for o in outcomes)
         assert stats.requests == stats.accounted
+        assert stats.total.translated == len(warmup) + len(outcomes)
         qps[shards] = len(trace) / elapsed
         outputs[shards] = [o.query for o in outcomes]
 

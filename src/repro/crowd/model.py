@@ -44,24 +44,26 @@ class FactSet:
     triples: tuple[QueryTriple, ...]
 
     def __post_init__(self):
-        canonical = tuple(sorted(
-            self.triples,
-            key=lambda t: tuple(_term_key(x) for x in t.terms()),
-        ))
-        object.__setattr__(self, "triples", canonical)
+        keyed = sorted(
+            ((tuple(_term_key(x) for x in t.terms()), t)
+             for t in self.triples),
+            key=lambda pair: pair[0],
+        )
+        object.__setattr__(self, "triples", tuple(t for _, t in keyed))
+        # Built once; an attribute, not a field, so repr/fields() skip it.
+        object.__setattr__(
+            self, "_key", " & ".join(" ".join(k) for k, _ in keyed)
+        )
 
     def key(self) -> str:
         """A stable string key (used for seeding and ground truth)."""
-        return " & ".join(
-            " ".join(_term_key(x) for x in t.terms())
-            for t in self.triples
-        )
+        return self._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FactSet) and self.key() == other.key()
+        return isinstance(other, FactSet) and self._key == other._key
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return self.key()

@@ -40,7 +40,8 @@ def _unit_gaussian(*key_parts: object) -> float:
     digest = hashlib.sha256(
         "\x1f".join(str(p) for p in key_parts).encode("utf-8")
     ).digest()
-    # Two 32-bit uniforms -> one Box-Muller normal.
+    # Two 32-bit uniforms -> one Box-Muller normal.  Keep it on numpy:
+    # math.log/math.cos round differently and would shift some answers.
     a, b = struct.unpack("<II", digest[:8])
     u1 = (a + 1) / 4294967297.0
     u2 = (b + 1) / 4294967297.0
@@ -61,7 +62,7 @@ class CrowdMember:
         idiosyncratic = noise * _unit_gaussian(
             seed, self.member_id, fact_set.key()
         )
-        return float(np.clip(truth + self.bias + idiosyncratic, 0.0, 1.0))
+        return min(max(truth + self.bias + idiosyncratic, 0.0), 1.0)
 
 
 class SimulatedCrowd:

@@ -65,12 +65,6 @@ class EngineConfig:
         topk_sample: fixed sample size used for top-k estimation.
         confidence_z: z-value of the decision interval (1.96 = 95%).
         task_budget: total crowd-task budget per query (None = no cap).
-        memoize_answers: reuse a member's previous answer when the same
-            (member, fact-set) pair comes up again — in another
-            subclause or a later query.  A consistent human answers the
-            same question the same way, so this only skips the simulated
-            answer computation; the task stream, budget accounting and
-            results are unchanged.
     """
 
     min_sample: int = 8
@@ -78,7 +72,6 @@ class EngineConfig:
     topk_sample: int = 25
     confidence_z: float = 1.96
     task_budget: int | None = None
-    memoize_answers: bool = True
 
 
 @dataclass(frozen=True)
@@ -398,10 +391,6 @@ class OassisEngine:
                 seen.add(key)
                 yield dict(sol)
 
-    def _where_bindings(self, query: OassisQuery) -> list[Binding]:
-        """Materialized WHERE bindings (deduplicated, in stream order)."""
-        return list(self._iter_where_bindings(query))
-
     @staticmethod
     def _to_pattern(triple: QueryTriple) -> TriplePattern:
         def convert(term):
@@ -440,8 +429,9 @@ class OassisEngine:
 
     # -- crowd access ---------------------------------------------------------------
 
-    def _ask(self, fact_set: FactSet, sample_index: int,
+    def _ask(self, fact_set: FactSet, question: str, sample_index: int,
              tasks: list[CrowdTask]) -> float:
+        """One task; callers verbalize ``question`` once per fact-set."""
         budget = self.config.task_budget
         if budget is not None and len(tasks) >= budget:
             raise BudgetExhausted(
@@ -449,27 +439,24 @@ class OassisEngine:
                 tasks_used=len(tasks),
             )
         member = self.crowd.member(sample_index % self.crowd.size)
-        if self.config.memoize_answers:
-            key = (member.member_id, fact_set.key())
-            answer = self._answer_cache.get(key)
-            if answer is None:
-                answer = self.crowd.ask(member, fact_set)
-                self._answer_cache[key] = answer
-                self.answer_cache_misses += 1
-                if self._m_answer_cache is not None:
-                    self._m_answer_cache.labels(result="miss").inc()
-            else:
-                self.answer_cache_hits += 1
-                if self._m_answer_cache is not None:
-                    self._m_answer_cache.labels(result="hit").inc()
-        else:
+        key = (member.member_id, fact_set.key())
+        answer = self._answer_cache.get(key)
+        if answer is None:
             answer = self.crowd.ask(member, fact_set)
+            self._answer_cache[key] = answer
+            self.answer_cache_misses += 1
+            if self._m_answer_cache is not None:
+                self._m_answer_cache.labels(result="miss").inc()
+        else:
+            self.answer_cache_hits += 1
+            if self._m_answer_cache is not None:
+                self._m_answer_cache.labels(result="hit").inc()
         if self._m_tasks is not None:
             self._m_tasks.inc()
         tasks.append(CrowdTask(
             member_id=member.member_id,
             fact_set=fact_set,
-            question=verbalize_fact_set(fact_set, self.ontology),
+            question=question,
             answer=answer,
         ))
         return answer
@@ -484,11 +471,12 @@ class OassisEngine:
     ) -> tuple[float, bool]:
         """Sequential support test; returns (estimate, support >= θ)."""
         cfg = self.config
+        question = verbalize_fact_set(fact_set, self.ontology)
         total = 0.0
         total_sq = 0.0
         n = 0
         while n < cfg.max_sample and n < self.crowd.size:
-            answer = self._ask(fact_set, n, tasks)
+            answer = self._ask(fact_set, question, n, tasks)
             total += answer
             total_sq += answer * answer
             n += 1
@@ -524,8 +512,10 @@ class OassisEngine:
         by_fact_set: dict[FactSet, float] = {}
         for i, fact_set in expanded:
             if fact_set not in by_fact_set:
+                question = verbalize_fact_set(fact_set, self.ontology)
                 answers = [
-                    self._ask(fact_set, j, tasks) for j in range(sample)
+                    self._ask(fact_set, question, j, tasks)
+                    for j in range(sample)
                 ]
                 by_fact_set[fact_set] = (
                     sum(answers) / len(answers) if answers else 0.0

@@ -15,6 +15,10 @@ rescans, ever.  :meth:`stats` snapshots them and :meth:`estimate`
 answers O(1) selectivity questions that :meth:`count` would answer with
 O(index-row) sums.  Every successful mutation bumps :attr:`epoch`,
 which is how cached query plans detect staleness.
+
+The innermost index rows are dicts used as ordered sets: a ``set`` of
+terms iterates in string-hash order, so BGP solutions (and the crowd
+tasks issued per binding) would change order with ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -79,14 +83,14 @@ class TripleStore:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._spo: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        self._spo: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
-        self._pos: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        self._pos: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
-        self._osp: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        self._osp: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
         self._size = 0
         # Incremental cardinality statistics (see module docstring).
@@ -157,9 +161,9 @@ class TripleStore:
         new_subject = objs is None
         by_o = self._pos.get(p)
         new_object = by_o is None or o not in by_o
-        self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
+        self._spo[s][p][o] = None
+        self._pos[p][o][s] = None
+        self._osp[o][s][p] = None
         self._size += 1
         self._pred_triples[p] = self._pred_triples.get(p, 0) + 1
         if new_subject:
@@ -176,7 +180,7 @@ class TripleStore:
     def remove(self, s: Term, p: Term, o: Term) -> bool:
         """Remove one triple; returns False if it was not present.
 
-        Emptied nested dicts/sets are pruned from all three indexes, so
+        Emptied nested dicts are pruned from all three indexes, so
         wildcard scans and :meth:`count` stay proportional to the live
         triples after heavy add/remove churn.
 
@@ -192,7 +196,7 @@ class TripleStore:
         objs = row.get(p) if row is not None else None
         if objs is None or o not in objs:
             return False
-        objs.remove(o)
+        del objs[o]
         if not objs:
             # s lost its last p-edge: one fewer distinct subject of p.
             self._pred_subjects[p] -= 1
@@ -203,7 +207,7 @@ class TripleStore:
                 del self._spo[s]
         by_o = self._pos[p]
         subjs = by_o[o]
-        subjs.discard(s)
+        del subjs[s]
         if not subjs:
             # o is no longer an object of p.
             self._pred_objects[p] -= 1
@@ -214,7 +218,7 @@ class TripleStore:
                 del self._pos[p]
         by_s = self._osp[o]
         preds = by_s[s]
-        preds.discard(p)
+        del preds[p]
         if not preds:
             del by_s[s]
             if not by_s:
@@ -278,10 +282,10 @@ class TripleStore:
 
     def contains(self, s: Term, p: Term, o: Term) -> bool:
         """True if the concrete triple is in the store."""
-        return o in self._spo.get(s, {}).get(p, set())
+        return o in self._spo.get(s, {}).get(p, ())
 
     def predicate_index(self):
-        """Live predicate-major view: ``(p, {o: {s, ...}})`` pairs.
+        """Live predicate-major view: ``(p, {o: {s: None, ...}})`` pairs.
 
         Bulk access for single-pass analyzers (OntologyLint streams
         the whole store once and per-triple generator dispatch is the

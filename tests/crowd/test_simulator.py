@@ -1,15 +1,25 @@
 """Tests for fact-sets, ground truth and the simulated crowd."""
 
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crowd.model import FactSet, GroundTruth, verbalize_fact_set
+from repro.crowd.model import (
+    FactSet,
+    GroundTruth,
+    _term_key,
+    verbalize_fact_set,
+)
 from repro.crowd.scenarios import (
     buffalo_travel_truth,
     habit_fact_set,
     opinion_fact_set,
 )
-from repro.crowd.simulator import SimulatedCrowd
+from repro.crowd.simulator import SimulatedCrowd, _unit_gaussian
 from repro.data.ontologies import load_merged_ontology
 from repro.oassisql.ast import ANYTHING, QueryTriple
 from repro.rdf.ontology import KB
@@ -18,6 +28,8 @@ from repro.rdf.terms import Literal
 
 FS_VISIT = habit_fact_set("visit", KB.Delaware_Park, ("in", KB.Fall))
 FS_OPINION = opinion_fact_set(KB.Delaware_Park, "interesting")
+TERMS = (ANYTHING, KB.visit, KB["in"], KB.Fall, KB.Delaware_Park,
+         Literal("interesting"), Literal("a b"))
 
 
 class TestFactSet:
@@ -45,6 +57,54 @@ class TestFactSet:
             FactSet(
                 (QueryTriple(ANYTHING, KB.visit, Variable("x")),)
             ).key()
+
+    def test_key_is_the_joined_term_keys(self):
+        assert FS_VISIT.key() == (
+            f"[] {KB['in'].value} {KB.Fall.value} & "
+            f"[] {KB.visit.value} {KB.Delaware_Park.value}"
+        )
+        assert FS_OPINION.key() == (
+            f'{KB.Delaware_Park.value} {KB.hasLabel.value} "interesting"'
+        )
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(TERMS), st.sampled_from(TERMS),
+                  st.sampled_from(TERMS)),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_key_matches_join_formula(self, raw):
+        fact_set = FactSet(tuple(QueryTriple(*t) for t in raw))
+        assert fact_set.key() == " & ".join(
+            " ".join(_term_key(x) for x in t.terms())
+            for t in fact_set.triples
+        )
+        shuffled = FactSet(tuple(QueryTriple(*t) for t in reversed(raw)))
+        assert shuffled == fact_set
+        assert hash(shuffled) == hash(fact_set)
+        assert shuffled.key() == fact_set.key()
+
+    def test_equality_needs_a_fact_set(self):
+        assert FS_VISIT != FS_VISIT.key()
+        assert FS_VISIT == habit_fact_set(
+            "visit", KB.Delaware_Park, ("in", KB.Fall)
+        )
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda fs: pickle.loads(pickle.dumps(fs)),
+    ])
+    def test_copies_keep_the_key(self, clone):
+        for fact_set in (FS_VISIT, FS_OPINION):
+            twin = clone(fact_set)
+            assert twin.key() == fact_set.key()
+            assert twin == fact_set and hash(twin) == hash(fact_set)
+            assert twin.triples == fact_set.triples
+
+    def test_repr_shows_only_the_triples(self):
+        assert repr(FS_VISIT) == f"FactSet(triples={FS_VISIT.triples!r})"
+        assert [f.name for f in dataclasses.fields(FactSet)] == ["triples"]
 
 
 class TestVerbalization:
@@ -116,6 +176,20 @@ class TestSimulatedCrowd:
         for m in crowd.members():
             answer = crowd.ask(m, FS_VISIT)
             assert 0.0 <= answer <= 1.0
+
+    def test_clip_matches_numpy_clip(self):
+        # Wide noise pushes many values past both ends of [0, 1].
+        crowd = SimulatedCrowd(buffalo_travel_truth(), size=200,
+                               noise=0.5, seed=4)
+        for truth in (0.0, 0.02, 0.55, 1.0):
+            for m in crowd.members():
+                raw = truth + m.bias + 0.5 * _unit_gaussian(
+                    4, m.member_id, FS_VISIT.key()
+                )
+                expected = float(np.clip(raw, 0.0, 1.0))
+                got = m.personal_value(FS_VISIT, truth, 0.5, 4)
+                assert type(got) is float
+                assert repr(got) == repr(expected)
 
     def test_zero_noise_reports_truth(self):
         crowd = SimulatedCrowd(buffalo_travel_truth(), size=10,
