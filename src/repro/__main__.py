@@ -42,8 +42,9 @@ Accuracy scoring (see ``docs/scenarios.md``)::
 ``--score`` runs the per-domain accuracy harness
 (:mod:`repro.eval.accuracy`) over every builtin scenario pack (or the
 one named by ``--pack``): POS accuracy with a known/unknown split and
-confusion matrix, dependency UAS/LAS, and gold-query translation
-quality against each pack's gold queries.
+confusion matrix, dependency UAS/LAS, and translation quality (IX
+P/R/F1, well-formedness, entity recall, gold-query exact match and
+structure), with ``development`` and ``held-out`` totals kept apart.
 
 Query planning (see ``docs/performance.md``)::
 
@@ -57,15 +58,13 @@ cardinalities, and whether the request hit the plan cache.
 Observability (see ``docs/observability.md``)::
 
     python -m repro --batch q.txt --metrics-out metrics.prom
-    python -m repro --interactive --serve-metrics 9464
     python -m repro --batch q.txt --slow-log 50   # dump traces > 50 ms
 
 Every translation goes through one shared
 :class:`~repro.service.TranslationService`, so ``--metrics-out``
-(Prometheus text file at exit), ``--serve-metrics`` (live ``/metrics``
-endpoint) and ``--slow-log`` (span trees of slow translations, to
-stderr at exit) observe single-question, interactive and batch modes
-alike.
+(Prometheus text file at exit) and ``--slow-log`` (span trees of slow
+translations, to stderr at exit) observe single-question, interactive
+and batch modes alike.  A live ``/metrics`` endpoint is ``--serve``'s.
 
 Sharded serving (see ``docs/serving.md``)::
 
@@ -202,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "ring (default 64; 0 disables warm "
                              "restarts)")
     parser.add_argument("--start-method",
-                        choices=("spawn", "fork", "forkserver",
-                                 "thread"),
+                        choices=("spawn", "thread"),
                         default="spawn",
                         help="worker start method for --serve "
                              "('thread' runs workers in-process — "
@@ -215,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics-out", metavar="FILE",
                         help="write Prometheus text-format metrics to "
                              "FILE on exit")
-    parser.add_argument("--serve-metrics", metavar="PORT", type=int,
-                        help="serve live /metrics on PORT (0 picks a "
-                             "free port, printed to stderr)")
     parser.add_argument("--slow-log", metavar="MS", type=float,
                         help="log translations slower than MS "
                              "milliseconds; span trees are dumped to "
@@ -595,16 +590,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.execute else None
     )
 
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs import start_metrics_server
-
-        server = start_metrics_server(registry, port=args.serve_metrics)
-        print(
-            f"serving /metrics on port {server.server_address[1]}",
-            file=sys.stderr,
-        )
-
     try:
         if args.batch:
             status = run_batch(service, args)
@@ -636,8 +621,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"cannot write metrics file: {err}", file=sys.stderr
                 )
                 status = 2
-        if server is not None:
-            server.shutdown()
     return status
 
 

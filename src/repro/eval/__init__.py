@@ -1,9 +1,12 @@
 """Evaluation harness: metrics and experiment runners (DESIGN.md S24).
 
-Turns the demo paper's qualitative claims into measured numbers:
-IX-detection precision/recall, translation accuracy against gold
-queries, verification accuracy, interaction counts, and crowd-mining
-quality of the end-to-end OASSIS execution.
+Turns the demo paper's qualitative claims into measured numbers.
+:mod:`repro.eval.accuracy` is the one quality scorer: per pack, POS and
+parse accuracy against gold annotations and translation quality (IX
+precision/recall, well-formedness, entity recall, gold-query agreement),
+with development and held-out totals kept apart.
+:mod:`repro.eval.harness` runs the rest: IX-anchor scoring of any
+detector, verification accuracy and interaction counts.
 """
 
 from repro.eval.metrics import (
@@ -13,10 +16,9 @@ from repro.eval.metrics import (
 )
 from repro.eval.harness import (
     InteractionReport,
-    TranslationQualityReport,
     VerificationReport,
     evaluate_interaction,
-    evaluate_translation_quality,
+    evaluate_ix_anchors,
     evaluate_verification,
     format_table,
 )
@@ -34,10 +36,9 @@ __all__ = [
     "PrecisionRecall",
     "set_precision_recall",
     "query_structure_score",
-    "TranslationQualityReport",
     "VerificationReport",
     "InteractionReport",
-    "evaluate_translation_quality",
+    "evaluate_ix_anchors",
     "evaluate_verification",
     "evaluate_interaction",
     "format_table",

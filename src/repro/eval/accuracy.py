@@ -1,21 +1,24 @@
-"""Per-domain accuracy harness: score the NLP substrate against gold.
+"""Per-pack accuracy harness: the one quality scorer.
 
-The translation-quality harness (:mod:`repro.eval.harness`, experiment
-E2) scores end-to-end output.  This module scores the *inputs* to that
-pipeline, per scenario pack, against the hand-reviewed annotations each
-pack ships in ``gold_nlp.conll``:
+Every quality number of the system comes from here, per scenario pack:
 
-* **POS accuracy** — token and whole-sentence accuracy, split into
-  known vs. unknown words (per the tagger's own ``known()``), with a
-  gold-to-predicted confusion matrix over the mismatches;
+* **POS accuracy** — token and whole-sentence accuracy against the
+  pack's ``gold_nlp.conll``, split into known vs. unknown words (per the
+  tagger's own ``known()``), with a gold-to-predicted confusion matrix
+  over the mismatches;
 * **Parse accuracy** — unlabeled/labeled attachment score (UAS/LAS)
   of the dependency parser against the gold trees;
-* **Translation quality** — gold-query exact match and structural
-  similarity (:func:`~repro.eval.metrics.query_structure_score`) over
-  the pack's own corpus.
+* **Translation quality** — one translation per supported corpus
+  question, scored on IX-anchor P/R/F1, well-formedness (the printed
+  query parses back to itself), general-entity recall, gold-query
+  exact match and structural similarity
+  (:func:`~repro.eval.metrics.query_structure_score`).
 
-Every metric scores the rule tagger (:class:`~repro.nlp.postag.PosTagger`)
-the pipeline runs.  The CLI front door is ``python -m repro --score``.
+The report keeps two totals apart: **development** (packs cut from the
+embedded demo corpus, which the lexicon, patterns and vocabularies were
+built against) and **held-out** (every other pack).  Experiment E2
+scores the demo corpus per domain; E15 and ``python -m repro --score``
+score every builtin pack.
 """
 
 from __future__ import annotations
@@ -24,14 +27,20 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.data.corpus import CORPUS
 from repro.data.goldnlp import GoldSentence
 from repro.data.scenario import ScenarioPack, load_builtin_packs
 from repro.errors import ReproError
 from repro.eval.harness import format_table
-from repro.eval.metrics import query_structure_score
+from repro.eval.metrics import (
+    PrecisionRecall,
+    query_structure_score,
+    set_precision_recall,
+)
 from repro.nlp.depparse import DependencyParser
 from repro.nlp.postag import PosTagger
 from repro.nlp.tokenizer import tokenize
+from repro.rdf.terms import IRI
 
 __all__ = [
     "PosAccuracy", "ParseAccuracy", "TranslationAccuracy",
@@ -205,13 +214,34 @@ def score_parse(
 
 @dataclass
 class TranslationAccuracy:
-    """Gold-query agreement over one pack's supported corpus."""
+    """End-to-end translation quality over one pack's supported corpus.
+
+    Every supported question feeds the IX, well-formedness and entity
+    columns; the ones with a gold query also feed exact match and
+    structure.  A failed translation scores as an empty output: its
+    gold anchors and entities are misses, it is not well-formed, and
+    its gold query counts in the exact and structure denominators with
+    nothing in the numerators.
+    """
 
     questions: int = 0
+    ix: PrecisionRecall = field(
+        default_factory=lambda: PrecisionRecall(0, 0, 0)
+    )
+    wellformed: int = 0
+    entity_hits: int = 0
+    entity_total: int = 0
     gold_queries: int = 0
     exact: int = 0
     structure_sum: float = 0.0
     failures: int = 0
+
+    @property
+    def entity_recall(self) -> float:
+        return (
+            self.entity_hits / self.entity_total
+            if self.entity_total else 1.0
+        )
 
     @property
     def exact_rate(self) -> float:
@@ -228,17 +258,33 @@ class TranslationAccuracy:
 
     def add(self, other: "TranslationAccuracy") -> None:
         self.questions += other.questions
+        self.ix = self.ix + other.ix
+        self.wellformed += other.wellformed
+        self.entity_hits += other.entity_hits
+        self.entity_total += other.entity_total
         self.gold_queries += other.gold_queries
         self.exact += other.exact
         self.structure_sum += other.structure_sum
         self.failures += other.failures
 
 
+def _query_local_names(query) -> set[str]:
+    """Local names of every IRI in the WHERE and SATISFYING triples."""
+    triples = list(query.where) + [
+        t for clause in query.satisfying for t in clause.triples
+    ]
+    return {
+        term.local_name
+        for triple in triples
+        for term in triple.terms()
+        if isinstance(term, IRI)
+    }
+
+
 def score_translation(pack: ScenarioPack) -> TranslationAccuracy:
-    """Translate the pack's supported questions; score against gold."""
+    """Translate the pack's supported questions once; score every column."""
     from repro.core.pipeline import NL2CM
     from repro.oassisql.parser import parse_oassisql
-    from repro.oassisql.printer import print_oassisql
     from repro.ui.interaction import AutoInteraction
 
     nl2cm = NL2CM(
@@ -252,21 +298,32 @@ def score_translation(pack: ScenarioPack) -> TranslationAccuracy:
         if not question.supported:
             continue
         acc.questions += 1
-        if question.gold_query is None:
-            continue
-        acc.gold_queries += 1
+        acc.entity_total += len(question.gold_general_entities)
+        if question.gold_query is not None:
+            acc.gold_queries += 1
+        gold_anchors = set(question.gold_ix_anchors)
         try:
             result = nl2cm.translate(question.text)
         except ReproError:
             acc.failures += 1
+            acc.ix = acc.ix + set_precision_recall(set(), gold_anchors)
             continue
-        produced = print_oassisql(result.query)
-        if produced == question.gold_query:
-            acc.exact += 1
-        acc.structure_sum += query_structure_score(
-            result.query,
-            parse_oassisql(question.gold_query, validate=False),
+        acc.ix = acc.ix + set_precision_recall(
+            {ix.anchor.lower for ix in result.ixs}, gold_anchors
         )
+        acc.wellformed += int(
+            parse_oassisql(result.query_text) == result.query
+        )
+        names = _query_local_names(result.query)
+        acc.entity_hits += sum(
+            1 for e in question.gold_general_entities if e in names
+        )
+        if question.gold_query is not None:
+            acc.exact += int(result.query_text == question.gold_query)
+            acc.structure_sum += query_structure_score(
+                result.query,
+                parse_oassisql(question.gold_query, validate=False),
+            )
     return acc
 
 
@@ -296,20 +353,49 @@ def score_pack(pack: ScenarioPack) -> PackAccuracy:
     )
 
 
+#: Total-row names: packs cut from the embedded demo corpus (whose
+#: lexicon, patterns and vocabularies were built against it) versus
+#: every other pack.
+DEVELOPMENT = "development"
+HELD_OUT = "held-out"
+
+
+def _sum_packs(name: str, packs: list[PackAccuracy]) -> PackAccuracy:
+    total = PackAccuracy(name=name)
+    for pack in packs:
+        total.pos.add(pack.pos)
+        total.parse.add(pack.parse)
+        total.translation.add(pack.translation)
+    return total
+
+
 @dataclass
 class AccuracyReport:
-    """The full accuracy report: per-pack scores plus totals."""
+    """The full accuracy report: per-pack scores plus group totals."""
 
     packs: list[PackAccuracy]
 
     def totals(self) -> PackAccuracy:
         """Aggregate counts over every pack."""
-        total = PackAccuracy(name="ALL")
+        return _sum_packs("ALL", self.packs)
+
+    def group_totals(self) -> dict[str, PackAccuracy]:
+        """Development and held-out totals; an empty group is left out.
+
+        A pack is development data when its name is a domain of the
+        embedded demo corpus.
+        """
+        development = {q.domain for q in CORPUS}
+        groups: dict[str, list[PackAccuracy]] = {
+            DEVELOPMENT: [], HELD_OUT: [],
+        }
         for pack in self.packs:
-            total.pos.add(pack.pos)
-            total.parse.add(pack.parse)
-            total.translation.add(pack.translation)
-        return total
+            group = DEVELOPMENT if pack.name in development else HELD_OUT
+            groups[group].append(pack)
+        return {
+            name: _sum_packs(name, packs)
+            for name, packs in groups.items() if packs
+        }
 
     def pack(self, name: str) -> PackAccuracy:
         for pack in self.packs:
@@ -327,8 +413,8 @@ class AccuracyReport:
             "Dependency attachment (per pack)",
             self._format_parse(),
             "",
-            "Translation quality vs. gold queries",
-            self._format_translation(),
+            "Translation quality (per pack)",
+            self.format_translation(),
         ]
         confusion = self._format_confusion()
         if confusion:
@@ -337,7 +423,7 @@ class AccuracyReport:
         return "\n".join(blocks)
 
     def _rows(self) -> list[PackAccuracy]:
-        return [*self.packs, self.totals()]
+        return [*self.packs, *self.group_totals().values()]
 
     def _format_pos(self) -> str:
         headers = ["pack", "tokens", "acc", "sent-acc", "known",
@@ -365,13 +451,19 @@ class AccuracyReport:
             ])
         return format_table(headers, rows)
 
-    def _format_translation(self) -> str:
-        headers = ["pack", "n", "exact", "structure", "failures"]
+    def format_translation(self) -> str:
+        """The translation table alone: one row per pack and group."""
+        headers = ["pack", "n", "IX-P", "IX-R", "IX-F1", "wellformed",
+                   "entity-recall", "exact", "structure", "failures"]
         rows = []
         for pack in self._rows():
             t = pack.translation
             rows.append([
-                pack.name, t.gold_queries,
+                pack.name, t.questions,
+                f"{t.ix.precision:.2f}", f"{t.ix.recall:.2f}",
+                f"{t.ix.f1:.2f}",
+                f"{t.wellformed}/{t.questions}",
+                f"{t.entity_recall:.2f}",
                 f"{t.exact}/{t.gold_queries}",
                 f"{t.structure_avg:.2f}",
                 t.failures,
@@ -412,6 +504,12 @@ class AccuracyReport:
 
         def translation_dict(t: TranslationAccuracy) -> dict:
             return {
+                "questions": t.questions,
+                "ix_precision": round(t.ix.precision, 4),
+                "ix_recall": round(t.ix.recall, 4),
+                "ix_f1": round(t.ix.f1, 4),
+                "wellformed": t.wellformed,
+                "entity_recall": round(t.entity_recall, 4),
                 "gold_queries": t.gold_queries,
                 "exact": t.exact,
                 "exact_rate": round(t.exact_rate, 4),
@@ -426,16 +524,20 @@ class AccuracyReport:
                 "translation": translation_dict(pack.translation),
             }
 
-        total = self.totals()
+        groups = self.group_totals()
         return {
             "experiment": "accuracy",
             "packs": {
                 pack.name: pack_dict(pack) for pack in self.packs
             },
-            "overall": pack_dict(total),
+            **{
+                name: pack_dict(groups[name]) if name in groups else None
+                for name in (DEVELOPMENT, HELD_OUT)
+            },
             "confusion": {
                 f"{gold}->{predicted}": count
-                for (gold, predicted), count in _ranked_confusion(total.pos)
+                for (gold, predicted), count
+                in _ranked_confusion(self.totals().pos)
             },
         }
 

@@ -7,8 +7,8 @@ DESIGN.md Section 5 and EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.pipeline import NL2CM
@@ -20,26 +20,12 @@ from repro.data.corpus import (
     unsupported_questions,
 )
 from repro.errors import ReproError
-from repro.eval.metrics import (
-    PrecisionRecall,
-    query_structure_score,
-    set_precision_recall,
-)
+from repro.eval.metrics import PrecisionRecall, set_precision_recall
 from repro.nlp.graph import DepGraph
-from repro.oassisql import parse_oassisql
-from repro.rdf.terms import IRI
-from repro.ui.interaction import (
-    AutoInteraction,
-    DisambiguationRequest,
-    LimitRequest,
-    ProjectionRequest,
-    ThresholdRequest,
-    VerifyIXRequest,
-)
+from repro.ui.interaction import AutoInteraction
 
 __all__ = [
-    "TranslationQualityReport", "VerificationReport", "InteractionReport",
-    "evaluate_translation_quality", "evaluate_ix_anchors",
+    "VerificationReport", "InteractionReport", "evaluate_ix_anchors",
     "evaluate_verification", "evaluate_interaction", "format_table",
 ]
 
@@ -60,143 +46,8 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# E2: translation quality
+# IX-anchor detection (E2 baselines, E8)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DomainQuality:
-    questions: int = 0
-    ix: PrecisionRecall = field(
-        default_factory=lambda: PrecisionRecall(0, 0, 0)
-    )
-    wellformed: int = 0
-    entity_hits: int = 0
-    entity_total: int = 0
-    exact_matches: int = 0
-    gold_query_count: int = 0
-    structure_sum: float = 0.0
-    failures: int = 0
-
-    @property
-    def entity_recall(self) -> float:
-        return (
-            self.entity_hits / self.entity_total
-            if self.entity_total else 1.0
-        )
-
-    @property
-    def exact_rate(self) -> float:
-        return (
-            self.exact_matches / self.gold_query_count
-            if self.gold_query_count else 1.0
-        )
-
-    @property
-    def structure_avg(self) -> float:
-        return (
-            self.structure_sum / self.gold_query_count
-            if self.gold_query_count else 1.0
-        )
-
-
-@dataclass
-class TranslationQualityReport:
-    per_domain: dict[str, DomainQuality]
-    overall: DomainQuality
-    failures: list[tuple[str, str]]
-
-    def format(self) -> str:
-        headers = ["domain", "n", "IX-P", "IX-R", "IX-F1", "wellformed",
-                   "entity-recall", "exact", "structure"]
-        rows = []
-        for domain in sorted(self.per_domain):
-            d = self.per_domain[domain]
-            rows.append([
-                domain, d.questions,
-                f"{d.ix.precision:.2f}", f"{d.ix.recall:.2f}",
-                f"{d.ix.f1:.2f}",
-                f"{d.wellformed}/{d.questions}",
-                f"{d.entity_recall:.2f}",
-                f"{d.exact_matches}/{d.gold_query_count}",
-                f"{d.structure_avg:.2f}",
-            ])
-        d = self.overall
-        rows.append([
-            "ALL", d.questions,
-            f"{d.ix.precision:.2f}", f"{d.ix.recall:.2f}",
-            f"{d.ix.f1:.2f}",
-            f"{d.wellformed}/{d.questions}",
-            f"{d.entity_recall:.2f}",
-            f"{d.exact_matches}/{d.gold_query_count}",
-            f"{d.structure_avg:.2f}",
-        ])
-        return format_table(headers, rows)
-
-
-def evaluate_translation_quality(
-    nl2cm: NL2CM | None = None,
-    questions: Iterable[CorpusQuestion] | None = None,
-) -> TranslationQualityReport:
-    """Run the translator over the corpus and score it (experiment E2)."""
-    nl2cm = nl2cm or NL2CM()
-    questions = list(questions or supported_questions())
-
-    per_domain: dict[str, DomainQuality] = defaultdict(DomainQuality)
-    overall = DomainQuality()
-    failures: list[tuple[str, str]] = []
-
-    for question in questions:
-        buckets = (per_domain[question.domain], overall)
-        for b in buckets:
-            b.questions += 1
-        try:
-            result = nl2cm.translate(question.text)
-        except ReproError as exc:
-            failures.append((question.id, f"{type(exc).__name__}: {exc}"))
-            for b in buckets:
-                b.failures += 1
-                b.ix = b.ix + PrecisionRecall(
-                    0, 0, len(question.gold_ix_anchors)
-                )
-            continue
-
-        predicted = {ix.anchor.lower for ix in result.ixs}
-        pr = set_precision_recall(
-            predicted, set(question.gold_ix_anchors)
-        )
-        wellformed = parse_oassisql(result.query_text) == result.query
-
-        query_triples = list(result.query.where) + [
-            t for clause in result.query.satisfying
-            for t in clause.triples
-        ]
-        query_names = {
-            t.local_name
-            for triple in query_triples
-            for t in triple.terms()
-            if isinstance(t, IRI)
-        }
-        hits = sum(
-            1 for e in question.gold_general_entities if e in query_names
-        )
-
-        for b in buckets:
-            b.ix = b.ix + pr
-            b.wellformed += int(wellformed)
-            b.entity_hits += hits
-            b.entity_total += len(question.gold_general_entities)
-            if question.gold_query is not None:
-                b.gold_query_count += 1
-                if result.query_text == question.gold_query:
-                    b.exact_matches += 1
-                b.structure_sum += query_structure_score(
-                    result.query, parse_oassisql(question.gold_query)
-                )
-
-    return TranslationQualityReport(
-        per_domain=dict(per_domain), overall=overall, failures=failures
-    )
-
 
 def evaluate_ix_anchors(
     anchor_fn: Callable[[DepGraph], set[str]],

@@ -40,7 +40,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
-from repro.obs.server import start_metrics_server
 from repro.obs.slowlog import SlowQuery, SlowQueryLog
 from repro.obs.tracing import Span, SpanRecorder, new_request_id
 
@@ -56,5 +55,4 @@ __all__ = [
     "SpanRecorder",
     "new_request_id",
     "parse_prometheus_text",
-    "start_metrics_server",
 ]

@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from repro.errors import MetricsError
 
 __all__ = [
+    "CONTENT_TYPE",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
@@ -66,6 +67,9 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
+
+#: The content type Prometheus expects for text exposition 0.0.4.
+CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")

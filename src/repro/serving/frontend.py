@@ -47,7 +47,7 @@ from repro.errors import (
     ShardTimeoutError,
     WorkerCrashedError,
 )
-from repro.obs.server import CONTENT_TYPE as METRICS_CONTENT_TYPE
+from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.serving.shards import RemoteOutcome, ShardManager
 
 __all__ = ["HTTPFrontend"]

@@ -98,7 +98,7 @@ __all__ = ["RemoteOutcome", "ShardManager"]
 #: Start methods the manager accepts.  "thread" runs ``worker_main`` on
 #: daemon threads in-process — protocol-identical, no process isolation;
 #: it exists for tests and debugging, not for CPU scaling.
-START_METHODS = ("spawn", "fork", "forkserver", "thread")
+START_METHODS = ("spawn", "thread")
 
 #: Per-shard budget of a ``stats`` probe (``stats()`` and ``expose()``).
 _PROBE_SECONDS = 10.0
@@ -285,9 +285,8 @@ class ShardManager:
     Args:
         shards: worker count; each owns ``1/shards`` of the keyspace.
         spec: the :class:`WorkerSpec` every worker builds from.
-        start_method: ``"spawn"`` (default, portable), ``"fork"`` /
-            ``"forkserver"`` (POSIX), or ``"thread"`` (in-process
-            workers for tests/debugging — no CPU scaling).
+        start_method: ``"spawn"`` (default, portable) or ``"thread"``
+            (in-process workers for tests/debugging — no CPU scaling).
         max_pending: bounded pending-queue depth per shard; beyond it
             requests are shed with :class:`AdmissionRejected`.
         request_timeout: default per-request deadline in seconds.

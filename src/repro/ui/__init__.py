@@ -34,7 +34,6 @@ __all__ = [
     "SessionEntry",
     "ThresholdRequest",
     "VerifyIXRequest",
-    "render_analysis_report",
     "render_service_stats",
 ]
 
@@ -50,7 +49,6 @@ _LOCATIONS = {
     "VerifyIXRequest": "repro.ui.interaction",
     "NL2CMSession": "repro.ui.session",
     "SessionEntry": "repro.ui.session",
-    "render_analysis_report": "repro.ui.admin",
     "render_service_stats": "repro.ui.admin",
 }
 

@@ -12,15 +12,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.diagnostics import AnalysisReport
-    from repro.obs.metrics import MetricsRegistry
     from repro.rdf.planner import PlanExplain
     from repro.service.service import ServiceStats
     from repro.serving.stats import ServingStats
 
 __all__ = [
-    "render_analysis_report", "render_metrics", "render_plan",
-    "render_service_stats", "render_serving_stats",
+    "render_plan", "render_service_stats", "render_serving_stats",
 ]
 
 # Pipeline order, parents before their children; unknown stages follow
@@ -193,80 +190,3 @@ def render_plan(explain: "PlanExplain") -> str:
     per-translation "peek under the hood".
     """
     return explain.render()
-
-
-def render_metrics(registry: "MetricsRegistry") -> str:
-    """A live metrics panel straight off a registry.
-
-    One table per instrument kind: counters (per labeled series),
-    gauges, and histograms with count / mean / estimated p50 and p95 —
-    the admin-mode view of exactly what ``/metrics`` exposes.
-    """
-    counters: list[list[str]] = []
-    gauges: list[list[str]] = []
-    histograms: list[list[str]] = []
-    for family in registry:
-        entries = (
-            family.children() if family.kind == "histogram"
-            else family.series()
-        )
-        for labels, child in entries:
-            series = family.name
-            if labels:
-                series += "{" + ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                ) + "}"
-            if family.kind == "counter":
-                counters.append([series, f"{child:g}"])
-            elif family.kind == "gauge":
-                gauges.append([series, f"{child:g}"])
-            elif family.kind == "histogram":
-                count = child.count
-                mean = child.sum / count if count else 0.0
-                histograms.append([
-                    series,
-                    str(count),
-                    f"{mean * 1000:.2f}",
-                    f"{child.quantile(0.5) * 1000:.2f}",
-                    f"{child.quantile(0.95) * 1000:.2f}",
-                ])
-    lines = ["== metrics =="]
-    if counters:
-        lines.append(_rows_to_table(["counter", "value"], counters))
-    if gauges:
-        lines.append("")
-        lines.append(_rows_to_table(["gauge", "value"], gauges))
-    if histograms:
-        lines.append("")
-        lines.append(_rows_to_table(
-            ["histogram", "n", "mean ms", "p50 ms", "p95 ms"],
-            histograms,
-        ))
-    if len(lines) == 1:
-        lines.append("(no series recorded yet)")
-    return "\n".join(lines)
-
-
-def render_analysis_report(report: "AnalysisReport") -> str:
-    """A plain-text admin panel for a static-analysis report.
-
-    One table row per diagnostic (severity, rule, location, message),
-    then the summary line — the tabular sibling of
-    :meth:`~repro.analysis.diagnostics.AnalysisReport.render`.
-    """
-    lines = [f"== lint: {report.subject} =="]
-    if report.diagnostics:
-        rows = [
-            [
-                str(d.severity),
-                d.rule,
-                str(d.location) if d.location else "-",
-                d.message,
-            ]
-            for d in report.diagnostics
-        ]
-        lines.append(_rows_to_table(
-            ["severity", "rule", "location", "message"], rows
-        ))
-    lines.append(report.summary())
-    return "\n".join(lines)

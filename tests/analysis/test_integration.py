@@ -9,7 +9,7 @@ from repro.core.pipeline import NL2CM, TranslationTrace
 from repro.errors import QueryLintError
 from repro.oassisql import parse_oassisql
 from repro.service import TranslationService
-from repro.ui.admin import render_analysis_report, render_service_stats
+from repro.ui.admin import render_service_stats
 
 QUESTION = "Where do you visit in Buffalo?"
 
@@ -168,12 +168,3 @@ class TestAdminRendering:
         assert "lint diagnostics: 1 error(s)" in panel
         assert "query-lint" in panel
 
-    def test_analysis_report_panel(self):
-        panel = render_analysis_report(error_report())
-        assert "== lint: q ==" in panel
-        assert "anything-in-where" in panel
-        assert "1 error(s), 1 warning(s)" in panel
-
-    def test_empty_report_panel(self):
-        panel = render_analysis_report(AnalysisReport(subject="fine"))
-        assert "0 error(s)" in panel

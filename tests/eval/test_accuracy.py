@@ -6,6 +6,7 @@ counting rule is pinned exactly; the report tests are golden tables
 a readable diff.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -25,12 +26,8 @@ from repro.eval.accuracy import (
     score_pos,
     score_translation,
 )
-from repro.eval.harness import (
-    DomainQuality,
-    InteractionReport,
-    TranslationQualityReport,
-    VerificationReport,
-)
+from repro.data.corpus import CorpusQuestion
+from repro.eval.harness import InteractionReport, VerificationReport
 from repro.eval.metrics import PrecisionRecall
 from repro.nlp.depparse import DependencyParser
 from repro.nlp.postag import TaggedToken
@@ -200,6 +197,39 @@ class TestScoreTranslation:
         supported = [q for q in shopping.corpus if q.supported]
         assert acc.questions == len(supported)
 
+    def test_every_supported_question_feeds_the_ix_columns(self, shopping):
+        acc = score_translation(shopping)
+        supported = [q for q in shopping.corpus if q.supported]
+        anchors = sum(len(set(q.gold_ix_anchors)) for q in supported)
+        assert acc.gold_queries < acc.questions
+        assert acc.ix.true_positives + acc.ix.false_negatives == anchors
+        assert acc.wellformed == acc.questions
+        assert acc.entity_total == sum(
+            len(q.gold_general_entities) for q in supported
+        )
+
+    def test_failed_translation_scores_as_empty_output(self, shopping):
+        # Marked supported, but the verifier rejects "Why ..." questions.
+        gold = next(q for q in shopping.corpus if q.gold_query)
+        question = CorpusQuestion(
+            id="why-01",
+            text="Why do people like to buy jeans in Buffalo?",
+            domain="shopping",
+            gold_ix_anchors=("like", "buy"),
+            gold_general_entities=("Buffalo,_NY",),
+            gold_query=gold.gold_query,
+        )
+        pack = dataclasses.replace(shopping, corpus=(question,))
+        acc = score_translation(pack)
+        assert (acc.questions, acc.failures) == (1, 1)
+        assert (acc.exact, acc.gold_queries) == (0, 1)
+        assert acc.exact_rate == 0.0
+        assert acc.ix == PrecisionRecall(0, 0, 2)
+        assert acc.structure_sum == 0.0
+        assert acc.structure_avg == 0.0
+        assert acc.wellformed == 0
+        assert (acc.entity_hits, acc.entity_total) == (0, 1)
+
 
 class TestScorePackAndReport:
     @pytest.fixture(scope="class")
@@ -216,15 +246,21 @@ class TestScorePackAndReport:
         with pytest.raises(KeyError):
             report.pack("nope")
 
+    def test_demo_domains_are_development(self, report):
+        assert set(report.group_totals()) == {"development"}
+
     def test_json_artifact_shape(self, report, tmp_path):
         out = tmp_path / "accuracy.json"
         report.write_json(out)
         data = json.loads(out.read_text())
         assert data["experiment"] == "accuracy"
-        assert set(data) == {"experiment", "packs", "overall", "confusion"}
+        assert set(data) == {
+            "experiment", "packs", "development", "held-out", "confusion",
+        }
         assert set(data["packs"]) == {"shopping"}
-        assert set(data["overall"]) == {"pos", "parse", "translation"}
-        assert data["overall"]["pos"]["tokens"] > 0
+        assert set(data["development"]) == {"pos", "parse", "translation"}
+        assert data["development"]["pos"]["tokens"] > 0
+        assert data["held-out"] is None
         assert isinstance(data["confusion"], dict)
 
 
@@ -260,7 +296,37 @@ def test_gold_query_misses_are_exactly_the_known_failures():
 
 
 def _demo_report():
-    pack = PackAccuracy(
+    # "travel" and "food" are demo-corpus domains (development);
+    # "demo" is not (held out).
+    travel = PackAccuracy(
+        name="travel",
+        pos=PosAccuracy(
+            tokens=5, correct=5, known_tokens=5, known_correct=5,
+            sentences=1, sentences_correct=1,
+        ),
+        parse=ParseAccuracy(
+            tokens=5, uas_correct=5, las_correct=4, sentences=1
+        ),
+        translation=TranslationAccuracy(
+            questions=2, ix=PrecisionRecall(2, 0, 0), wellformed=2,
+            entity_hits=1, entity_total=1, gold_queries=1, exact=1,
+            structure_sum=1.0,
+        ),
+    )
+    food = PackAccuracy(
+        name="food",
+        pos=PosAccuracy(
+            tokens=4, correct=3, known_tokens=3, known_correct=3,
+            sentences=1, confusion={("JJ", "NN"): 1},
+        ),
+        parse=ParseAccuracy(
+            tokens=4, uas_correct=4, las_correct=4, sentences=1
+        ),
+        translation=TranslationAccuracy(
+            questions=1, ix=PrecisionRecall(0, 0, 1), wellformed=1,
+        ),
+    )
+    demo = PackAccuracy(
         name="demo",
         pos=PosAccuracy(
             tokens=10, correct=9, known_tokens=8, known_correct=8,
@@ -271,34 +337,46 @@ def _demo_report():
             tokens=10, uas_correct=9, las_correct=8, sentences=2
         ),
         translation=TranslationAccuracy(
-            questions=3, gold_queries=3, exact=2, structure_sum=2.5
+            questions=4, failures=1, ix=PrecisionRecall(2, 1, 1),
+            wellformed=3, entity_hits=2, entity_total=3,
+            gold_queries=3, exact=2, structure_sum=2.5,
         ),
     )
-    return AccuracyReport(packs=[pack])
+    return AccuracyReport(packs=[travel, food, demo])
 
 
 GOLDEN_ACCURACY = """\
 POS tagging accuracy (per pack)
-pack  tokens  acc    sent-acc  known  unknown
-----  ------  -----  --------  -----  -------
-demo  10      0.900  0.500     1.000  0.500
-ALL   10      0.900  0.500     1.000  0.500
+pack         tokens  acc    sent-acc  known  unknown
+-----------  ------  -----  --------  -----  -------
+travel       5       1.000  1.000     1.000  1.000
+food         4       0.750  0.000     1.000  0.000
+demo         10      0.900  0.500     1.000  0.500
+development  9       0.889  0.500     1.000  0.000
+held-out     10      0.900  0.500     1.000  0.500
 
 Dependency attachment (per pack)
-pack  tokens  UAS    LAS
-----  ------  -----  -----
-demo  10      0.900  0.800
-ALL   10      0.900  0.800
+pack         tokens  UAS    LAS
+-----------  ------  -----  -----
+travel       5       1.000  0.800
+food         4       1.000  1.000
+demo         10      0.900  0.800
+development  9       1.000  0.889
+held-out     10      0.900  0.800
 
-Translation quality vs. gold queries
-pack  n  exact  structure  failures
-----  -  -----  ---------  --------
-demo  3  2/3    0.83       0
-ALL   3  2/3    0.83       0
+Translation quality (per pack)
+pack         n  IX-P  IX-R  IX-F1  wellformed  entity-recall  exact  structure  failures
+-----------  -  ----  ----  -----  ----------  -------------  -----  ---------  --------
+travel       2  1.00  1.00  1.00   2/2         1.00           1/1    1.00       0
+food         1  1.00  0.00  0.00   1/1         1.00           0/0    1.00       0
+demo         4  0.67  0.67  0.67   3/4         0.67           2/3    0.83       1
+development  3  1.00  0.67  0.80   3/3         1.00           1/1    1.00       0
+held-out     4  0.67  0.67  0.67   3/4         0.67           2/3    0.83       1
 
 Top confusions (all packs)
 gold  predicted  count
 ----  ---------  -----
+JJ    NN         1
 NNP   NNPS       1"""
 
 
@@ -308,10 +386,13 @@ class TestGoldenTables:
 
     def test_accuracy_json_rounds_to_four_places(self):
         data = _demo_report().to_json()
-        translation = data["overall"]["translation"]
+        translation = data["held-out"]["translation"]
         assert translation["exact_rate"] == 0.6667
         assert translation["structure_avg"] == 0.8333
-        assert data["confusion"] == {"NNP->NNPS": 1}
+        assert translation["ix_f1"] == 0.6667
+        assert translation["entity_recall"] == 0.6667
+        assert data["development"]["translation"]["ix_f1"] == 0.8
+        assert data["confusion"] == {"JJ->NN": 1, "NNP->NNPS": 1}
 
     def test_verification_report_format(self):
         report = VerificationReport(
@@ -345,27 +426,5 @@ class TestGoldenTables:
             "questions with interaction                         5\n"
             "disambiguation dialogs, 1st pass                   2\n"
             "disambiguation dialogs, 2nd pass (after feedback)  1"
-        )
-        assert _norm(report.format()) == expected
-
-    def test_translation_quality_report_format(self):
-        quality = DomainQuality(
-            questions=2, ix=PrecisionRecall(2, 0, 0), wellformed=2,
-            entity_hits=3, entity_total=4, exact_matches=1,
-            gold_query_count=2, structure_sum=1.8,
-        )
-        report = TranslationQualityReport(
-            per_domain={"travel": quality}, overall=quality,
-            failures=[],
-        )
-        expected = (
-            "domain  n  IX-P  IX-R  IX-F1  wellformed  "
-            "entity-recall  exact  structure\n"
-            "------  -  ----  ----  -----  ----------  "
-            "-------------  -----  ---------\n"
-            "travel  2  1.00  1.00  1.00   2/2         "
-            "0.75           1/2    0.90\n"
-            "ALL     2  1.00  1.00  1.00   2/2         "
-            "0.75           1/2    0.90"
         )
         assert _norm(report.format()) == expected

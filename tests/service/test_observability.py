@@ -331,19 +331,20 @@ class TestStatsIsARegistryView:
         )
 
 
-def test_render_metrics_reads_callback_series(ontology):
-    """The admin metrics panel shows callback-backed series (the cache's
-    counters and gauges) beside recorded ones."""
-    from repro.ui.admin import render_metrics
-
+def test_exposition_carries_callback_series(ontology):
+    """The registry's exposition shows callback-backed series (the
+    cache's counters and gauges) beside recorded ones."""
     service = TranslationService(NL2CM(ontology=ontology), cache=8)
     service.translate("Where do you visit in Buffalo?")
     service.translate("Where do you visit in Buffalo?")
-    rows = {
-        line.split()[0]: line.split()[1:]
-        for line in render_metrics(service.registry).splitlines()[1:]
-        if line.strip() and not line.startswith(("-", "counter", "gauge"))
-    }
-    assert rows["nl2cm_cache_lookups_total{result=hit}"] == ["1"]
-    assert rows["nl2cm_cache_size"] == ["1"]
-    assert rows["nl2cm_translate_seconds"][0] == "1"
+    parsed = parse_prometheus_text(service.registry.expose())
+    lookups = parsed["nl2cm_cache_lookups_total"]["samples"]
+    assert lookups[
+        ("nl2cm_cache_lookups_total", (("result", "hit"),))
+    ] == 1.0
+    assert parsed["nl2cm_cache_size"]["samples"][
+        ("nl2cm_cache_size", ())
+    ] == 1.0
+    assert parsed["nl2cm_translate_seconds"]["samples"][
+        ("nl2cm_translate_seconds_count", ())
+    ] == 1.0

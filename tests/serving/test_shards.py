@@ -26,6 +26,8 @@ class TestConstruction:
             ShardManager(shards=1, max_pending=0, start_method="thread")
         with pytest.raises(ValueError):
             ShardManager(shards=1, start_method="carrier-pigeon")
+        with pytest.raises(ValueError):
+            ShardManager(shards=1, start_method="fork")
 
     def test_context_manager_closes(self):
         with ShardManager(

@@ -14,10 +14,11 @@ from repro.data.corpus import (
     unsupported_questions,
 )
 from repro.errors import CompositionError, VerificationError
+from repro.data.scenario import domain_pack
+from repro.eval.accuracy import evaluate_accuracy
 from repro.eval.harness import (
     evaluate_interaction,
     evaluate_ix_anchors,
-    evaluate_translation_quality,
     evaluate_verification,
     format_table,
 )
@@ -156,13 +157,19 @@ class TestIXBaselines:
         assert "fall" not in detector.detect_anchors(graph)
 
 
+def _demo_accuracy():
+    domains = sorted({q.domain for q in supported_questions()})
+    return evaluate_accuracy([domain_pack(d) for d in domains])
+
+
 class TestHarness:
     def test_translation_quality_headline(self):
-        report = evaluate_translation_quality()
-        assert report.overall.ix.f1 >= 0.95
-        assert report.overall.wellformed == report.overall.questions
-        assert report.overall.exact_rate == 1.0
-        assert not report.failures
+        total = _demo_accuracy().totals().translation
+        assert total.questions == len(supported_questions())
+        assert total.ix.f1 >= 0.95
+        assert total.wellformed == total.questions
+        assert total.exact_rate == 1.0
+        assert total.failures == 0
 
     def test_nl2cm_beats_baselines_on_ix(self):
         ours = evaluate_ix_anchors(full_detector_anchors)
@@ -192,7 +199,6 @@ class TestHarness:
         assert "ThresholdRequest" in report.counts_by_type
 
     def test_reports_format(self):
-        for report in (evaluate_translation_quality(),
-                       evaluate_verification()):
+        for report in (_demo_accuracy(), evaluate_verification()):
             text = report.format()
             assert "\n" in text

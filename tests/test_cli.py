@@ -203,9 +203,13 @@ class TestScore:
         assert status == 0
         assert "POS tagging accuracy" in out
         assert "Dependency attachment" in out
-        assert "Translation quality vs. gold queries" in out
+        assert "Translation quality" in out
+        assert "IX-F1" in out
         assert "patients" in out
-        assert "ALL" in out
+        # An authored pack is held out; no blended ALL row.
+        assert "held-out" in out
+        assert "development" not in out
+        assert "ALL" not in out
 
     def test_score_missing_pack_exits_two(self, tmp_path, capsys):
         status = main(["--score", "--pack", str(tmp_path / "nope")])
@@ -228,7 +232,9 @@ class TestScore:
         assert data["experiment"] == "accuracy"
         assert "taggers" not in data
         assert set(data["packs"]) == {"patients"}
-        assert "overall" in data and "confusion" in data
+        assert "overall" not in data and "confusion" in data
+        assert data["development"] is None
+        assert data["held-out"]["translation"]["questions"] > 0
 
     def test_score_unwritable_json_exits_two(self, tmp_path, capsys):
         from repro.data.scenario import builtin_packs_dir
