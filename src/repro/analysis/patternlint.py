@@ -349,19 +349,10 @@ def _filter_refs(
     return vocabs, pos_values
 
 
-def _conjuncts(filter_expr: PatternFilter) -> list[PatternFilter]:
-    if filter_expr.op == "and":
-        out: list[PatternFilter] = []
-        for arg in filter_expr.args:
-            out.extend(_conjuncts(arg))
-        return out
-    return [filter_expr]
-
-
 def _contradictions(filter_expr: PatternFilter):
     """(fn, var, sorted values) for functions pinned to >1 constant."""
     pinned: dict[tuple[str, str], set[str]] = {}
-    for node in _conjuncts(filter_expr):
+    for node in filter_expr.conjuncts():
         if node.op != "cmp" or node.args[0] != "=":
             continue
         _, left, right = node.args

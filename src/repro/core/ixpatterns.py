@@ -38,12 +38,11 @@ makes for pattern matching over machine learning.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from dataclasses import dataclass, field
 
 from repro.data.vocabularies import VocabularyRegistry
 from repro.errors import PatternSyntaxError
-from repro.nlp.graph import DEPENDENCY_LABELS, DepGraph, DepNode
+from repro.nlp.graph import DEPENDENCY_LABELS, DepEdge, DepGraph, DepNode
 from repro.nlp.postag_lexicon import TAGSET
 
 __all__ = ["IXPattern", "PatternEdge", "PatternFilter", "PatternMatcher",
@@ -97,39 +96,11 @@ class PatternFilter:
                         stack.append(arg)
         return out
 
-    def evaluate(
-        self,
-        binding: dict[str, DepNode],
-        vocabularies: VocabularyRegistry,
-    ) -> bool | str:
-        if self.op == "const":
-            return self.args[0]
-        if self.op == "func":
-            fn, var = self.args
-            node = binding[var]
-            if fn == "POS":
-                return _pos_class(node)
-            if fn == "LEMMA":
-                return node.lemma
-            if fn == "TEXT":
-                return node.lower
-            raise PatternSyntaxError(f"unknown function {fn}()")
-        if self.op == "and":
-            return all(a.evaluate(binding, vocabularies) for a in self.args)
-        if self.op == "or":
-            return any(a.evaluate(binding, vocabularies) for a in self.args)
-        if self.op == "not":
-            return not self.args[0].evaluate(binding, vocabularies)
-        if self.op == "cmp":
-            comparator, left, right = self.args
-            lv = left.evaluate(binding, vocabularies)
-            rv = right.evaluate(binding, vocabularies)
-            return (lv == rv) if comparator == "=" else (lv != rv)
-        if self.op == "in":
-            expr, vocab_name = self.args
-            value = expr.evaluate(binding, vocabularies)
-            return str(value) in vocabularies[vocab_name]
-        raise PatternSyntaxError(f"unknown filter op {self.op!r}")
+    def conjuncts(self) -> list[PatternFilter]:
+        """The top-level ``&&`` operands, left to right."""
+        if self.op != "and":
+            return [self]
+        return [c for arg in self.args for c in arg.conjuncts()]
 
 
 def pos_class_of_tag(tag: str) -> str:
@@ -152,24 +123,29 @@ def pos_class_of_tag(tag: str) -> str:
     return tag.lower()
 
 
-@lru_cache(maxsize=1)
+#: The POS class of every tag the tagger emits, mapped once per process.
+_POS_CLASSES = {tag: pos_class_of_tag(tag) for tag in TAGSET}
+
+
 def achievable_pos_classes() -> frozenset[str]:
     """Every class ``POS($x)`` can evaluate to, given the tagger's tagset.
 
     A filter comparing ``POS($x)`` against anything else can never match
-    — PatternLint's unreachable-pattern check.  Pure function of the
-    constant tagset, so it is computed once per process.
+    — PatternLint's unreachable-pattern check.
     """
-    return frozenset(pos_class_of_tag(tag) for tag in TAGSET)
-
-
-def _pos_class(node: DepNode) -> str:
-    return pos_class_of_tag(node.tag)
+    return frozenset(_POS_CLASSES.values())
 
 
 @dataclass(frozen=True)
 class IXPattern:
-    """A parsed IX detection pattern."""
+    """A parsed IX detection pattern.
+
+    The matching plan is compiled once, at construction: the sorted
+    variables, one step per edge (in pattern order, so matches come out
+    in the order a plain backtracking search finds them), and each
+    top-level ``&&`` conjunct of the filter compiled into a closure that
+    runs at the first step where all its variables are bound.
+    """
 
     name: str
     ix_type: str
@@ -178,14 +154,16 @@ class IXPattern:
     filter: PatternFilter | None = None
     uncertain: bool = False
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for edge in self.edges:
-            out.add(edge.head)
-            out.add(edge.dependent)
+    def __post_init__(self):
+        variables = {v for e in self.edges for v in (e.head, e.dependent)}
         if self.filter is not None:
-            out |= self.filter.variables()
-        return out
+            variables |= self.filter.variables()
+        # Attributes, not fields, so repr/eq/fields() skip them.
+        object.__setattr__(self, "_variables", tuple(sorted(variables)))
+        object.__setattr__(self, "_plan", _compile_plan(self))
+
+    def variables(self) -> set[str]:
+        return set(self._variables)
 
     def validate(self) -> None:
         if self.ix_type not in IX_TYPES:
@@ -434,6 +412,101 @@ class PatternMatch:
         return set(self.binding.values())
 
 
+def _compile_filter(expr: PatternFilter):
+    """``expr`` as a closure ``(binding, vocabularies) -> value``.
+
+    The closure yields what the filter means over a binding: a string
+    for constants and node functions, a bool for the operators.
+    Vocabularies are resolved by name on each call, so one registered
+    after the pattern was compiled still takes effect.
+    """
+    op, args = expr.op, expr.args
+    if op == "const":
+        value = args[0]
+        return lambda b, v: value
+    if op == "func":
+        fn, var = args
+        if fn == "POS":
+            return lambda b, v: (
+                _POS_CLASSES.get(b[var].tag) or pos_class_of_tag(b[var].tag)
+            )
+        if fn == "LEMMA":
+            return lambda b, v: b[var].lemma
+        if fn == "TEXT":
+            return lambda b, v: b[var].text.lower()
+        raise PatternSyntaxError(f"unknown function {fn}()")
+    if op == "not":
+        inner = _compile_filter(args[0])
+        return lambda b, v: not inner(b, v)
+    if op in ("and", "or"):
+        # The parser builds binary nodes; bool(x and y) is all((x, y)).
+        left, right = (_compile_filter(a) for a in args)
+        if op == "and":
+            return lambda b, v: bool(left(b, v) and right(b, v))
+        return lambda b, v: bool(left(b, v) or right(b, v))
+    if op == "cmp":
+        comparator, left, right = args
+        lf, rf = _compile_filter(left), _compile_filter(right)
+        if comparator == "=":
+            return lambda b, v: lf(b, v) == rf(b, v)
+        return lambda b, v: lf(b, v) != rf(b, v)
+    if op == "in":
+        inner, vocab = args
+        value = _compile_filter(inner)
+        return lambda b, v: str(value(b, v)) in v[vocab]
+    raise PatternSyntaxError(f"unknown filter op {op!r}")
+
+
+def _compile_plan(pattern: IXPattern):
+    """The steps of ``pattern``, or its checks when it has no edges.
+
+    A step is ``(head var, label, dependent var, checks)``; a conjunct
+    joins the checks of the first step that binds all its variables (or
+    the last step, when some variable is never bound, so the failure
+    surfaces as it would on a full binding).  A plan of ``None`` never
+    matches: it has an unbound self-loop edge, which no tree has.
+    """
+    conjuncts = (
+        pattern.filter.conjuncts() if pattern.filter is not None else []
+    )
+    if not pattern.edges:
+        return tuple(_compile_filter(c) for c in conjuncts)
+    bound: set[str] = set()
+    steps = []
+    for edge in pattern.edges:
+        if edge.head == edge.dependent and edge.head not in bound:
+            return None
+        bound |= {edge.head, edge.dependent}
+        ready = [c for c in conjuncts if c.variables() <= bound]
+        conjuncts = [c for c in conjuncts if c not in ready]
+        steps.append((edge.head, edge.label, edge.dependent, ready))
+    steps[-1][3].extend(conjuncts)
+    return tuple(
+        (head, label, dep, tuple(_compile_filter(c) for c in ready))
+        for head, label, dep, ready in steps
+    )
+
+
+class _EdgeIndex:
+    """One graph's matchable edges, indexed once per ``match_all``.
+
+    Edges out of the artificial ROOT never match, so they are left out.
+    """
+
+    __slots__ = ("nodes", "by_label", "by_head", "parent")
+
+    def __init__(self, graph: DepGraph):
+        self.nodes = graph.nodes()
+        edges = [e for e in graph.edges() if not e.head.is_root]
+        self.by_label: dict[str, list[DepEdge]] = {_ANY_LABEL: edges}
+        self.by_head: dict[int, list[DepEdge]] = {}
+        self.parent: dict[int, DepEdge] = {}
+        for edge in edges:
+            self.by_label.setdefault(edge.label, []).append(edge)
+            self.by_head.setdefault(edge.head.index, []).append(edge)
+            self.parent[edge.dependent.index] = edge
+
+
 class PatternMatcher:
     """Matches IX patterns against dependency graphs.
 
@@ -441,7 +514,9 @@ class PatternMatcher:
     to graph nodes such that each pattern edge maps to a graph edge with
     the required label and the filter evaluates to true — subgraph
     matching restricted to connected patterns, which the paper's
-    patterns always are.
+    patterns always are.  Each pattern runs its compiled plan: edges in
+    pattern order, candidates in graph-edge order, and each filter
+    conjunct as soon as its variables are bound.
     """
 
     def __init__(self, vocabularies: VocabularyRegistry):
@@ -451,69 +526,72 @@ class PatternMatcher:
         self, pattern: IXPattern, graph: DepGraph
     ) -> list[PatternMatch]:
         """All matches of ``pattern`` in ``graph``."""
-        matches: list[PatternMatch] = []
-        variables = sorted(pattern.variables())
-
-        if not pattern.edges:
-            # Node-only pattern: try every node as the single variable.
-            if len(variables) != 1:
-                raise PatternSyntaxError(
-                    f"pattern {pattern.name}: edge-free patterns must use "
-                    f"exactly one variable"
-                )
-            var = variables[0]
-            for node in graph.nodes():
-                binding = {var: node}
-                if self._filter_ok(pattern, binding):
-                    matches.append(PatternMatch(pattern, binding))
-            return matches
-
-        def backtrack(edge_idx: int, binding: dict[str, DepNode]) -> None:
-            if edge_idx == len(pattern.edges):
-                if self._filter_ok(pattern, binding):
-                    matches.append(PatternMatch(pattern, dict(binding)))
-                return
-            edge = pattern.edges[edge_idx]
-            for graph_edge in graph.edges():
-                if edge.label != _ANY_LABEL and (
-                    graph_edge.label != edge.label
-                ):
-                    continue
-                head, dep = graph_edge.head, graph_edge.dependent
-                if head.is_root:
-                    continue
-                bound_head = binding.get(edge.head)
-                bound_dep = binding.get(edge.dependent)
-                if bound_head is not None and bound_head.index != head.index:
-                    continue
-                if bound_dep is not None and bound_dep.index != dep.index:
-                    continue
-                added = []
-                if bound_head is None:
-                    binding[edge.head] = head
-                    added.append(edge.head)
-                if bound_dep is None:
-                    binding[edge.dependent] = dep
-                    added.append(edge.dependent)
-                backtrack(edge_idx + 1, binding)
-                for var in added:
-                    del binding[var]
-
-        backtrack(0, {})
-        return matches
+        return self._run(pattern, _EdgeIndex(graph))
 
     def match_all(
         self, patterns: list[IXPattern], graph: DepGraph
     ) -> list[PatternMatch]:
         """All matches of all patterns, in pattern order."""
+        index = _EdgeIndex(graph)
         out: list[PatternMatch] = []
         for pattern in patterns:
-            out.extend(self.match(pattern, graph))
+            out.extend(self._run(pattern, index))
         return out
 
-    def _filter_ok(
-        self, pattern: IXPattern, binding: dict[str, DepNode]
-    ) -> bool:
-        if pattern.filter is None:
-            return True
-        return bool(pattern.filter.evaluate(binding, self._vocabularies))
+    def _run(self, pattern: IXPattern, index: _EdgeIndex
+             ) -> list[PatternMatch]:
+        plan = pattern._plan
+        matches: list[PatternMatch] = []
+        if plan is None:
+            return matches
+        vocabularies = self._vocabularies
+        if not pattern.edges:
+            if len(pattern._variables) != 1:
+                raise PatternSyntaxError(
+                    f"pattern {pattern.name}: edge-free patterns must use "
+                    f"exactly one variable"
+                )
+            var = pattern._variables[0]
+            for node in index.nodes:
+                binding = {var: node}
+                for check in plan:
+                    if not check(binding, vocabularies):
+                        break
+                else:
+                    matches.append(PatternMatch(pattern, binding))
+            return matches
+
+        last = len(plan) - 1
+
+        def extend(i: int, binding: dict[str, DepNode]) -> None:
+            head_var, label, dep_var, checks = plan[i]
+            head, dep = binding.get(head_var), binding.get(dep_var)
+            if dep is not None:
+                parent = index.parent.get(dep.index)
+                candidates = (parent,) if parent is not None else ()
+            elif head is not None:
+                candidates = index.by_head.get(head.index, ())
+            else:
+                candidates = index.by_label.get(label, ())
+            for edge in candidates:
+                if (label != _ANY_LABEL and edge.label != label) or (
+                    head is not None and edge.head.index != head.index
+                ):
+                    continue
+                binding[head_var] = edge.head
+                binding[dep_var] = edge.dependent
+                for check in checks:
+                    if not check(binding, vocabularies):
+                        break
+                else:
+                    if i == last:
+                        matches.append(PatternMatch(pattern, dict(binding)))
+                    else:
+                        extend(i + 1, binding)
+            if head is None:
+                binding.pop(head_var, None)
+            if dep is None:
+                binding.pop(dep_var, None)
+
+        extend(0, {})
+        return matches

@@ -23,8 +23,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import ContextManager, Iterator
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.kblint import OntologyLint
@@ -81,6 +81,19 @@ def _default_pattern_registry() -> RuleRegistry:
 
 #: Name of the per-request root span that wraps the whole pipeline.
 ROOT_SPAN = "translate"
+
+
+def _ix_summary(graph: DepGraph, ixs: list[IX]) -> str:
+    """The ix-detection span's artifact: one line per kept IX."""
+    return "\n".join(
+        f"{ix.kind}[{','.join(sorted(ix.types))}] {ix.span_text(graph)!r}"
+        for ix in ixs
+    ) or "(no individual expressions)"
+
+
+def _listing(triples: tuple, empty: str) -> str:
+    """A triple-creation span's artifact: one triple per line."""
+    return "\n".join(str(t) for t in triples) or empty
 
 
 class TranslationTrace(SpanRecorder):
@@ -279,23 +292,29 @@ class NL2CM:
         """Run only the verification step (used by the UI upfront)."""
         return self.verifier.verify(text)
 
-    @contextmanager
-    def _stage(self, trace: TranslationTrace, name: str) -> Iterator[Span]:
+    def _stage(
+        self, trace: TranslationTrace, name: str
+    ) -> ContextManager[Span]:
         """A stage span with an optional per-stage deadline attached.
 
         When a stage timeout is configured, a fresh
         :class:`~repro.resilience.Deadline` rides on the span
         (``span.deadline``) so the trace carries the budget, and is
         checked as the span closes — the cooperative variant of a
-        timeout for a synchronous stage.
+        timeout for a synchronous stage.  Without one, the stage is the
+        bare span: no second context manager per stage.
 
         Raises:
             DeadlineExceeded: when the stage overran its budget.
         """
         if self.stage_timeout is None:
-            with trace.span(name) as span:
-                yield span
-            return
+            return trace.span(name)
+        return self._deadline_stage(trace, name)
+
+    @contextmanager
+    def _deadline_stage(
+        self, trace: TranslationTrace, name: str
+    ) -> Iterator[Span]:
         with trace.span(name) as span:
             span.deadline = Deadline(
                 self.stage_timeout, clock=time.perf_counter
@@ -334,8 +353,10 @@ class NL2CM:
                 )
 
             with self._stage(trace, "nl-parsing") as span:
-                graph = self.parser.parse(text)
-                span.artifact = graph.pretty()
+                graph = self.parser.parse(
+                    text, tokens=verification.tokens
+                )
+                span.defer(graph.pretty)
 
             # The ix-detection span *covers* its finder, creator and
             # user-verification children — parent/child spans replace
@@ -356,23 +377,19 @@ class NL2CM:
                         else "(all IXs kept)"
                     )
                     ixs = kept
-                detection.artifact = "\n".join(
-                    f"{ix.kind}[{','.join(sorted(ix.types))}] "
-                    f"{ix.span_text(graph)!r}"
-                    for ix in ixs
-                ) or "(no individual expressions)"
+                detection.defer(partial(_ix_summary, graph, ixs))
 
             with self._stage(trace, "general-query-generator") as span:
                 general = self.generator.generate(graph, provider)
-                span.artifact = "\n".join(
-                    str(t) for t in general.triples
-                ) or "(no general triples)"
+                span.defer(partial(
+                    _listing, tuple(general.triples), "(no general triples)"
+                ))
 
             with self._stage(trace, "individual-triple-creation") as span:
                 individual = self.triple_creator.create(graph, ixs)
-                span.artifact = "\n".join(
-                    str(t) for t in individual
-                ) or "(no individual triples)"
+                span.defer(partial(
+                    _listing, tuple(individual), "(no individual triples)"
+                ))
 
             with self._stage(trace, "query-composition") as span:
                 composed = self.composer.compose(

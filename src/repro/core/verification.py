@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.nlp.tokenizer import split_sentences, tokenize
+from repro.nlp.tokenizer import Token, split_sentences, tokenize
 
 __all__ = ["VerificationResult", "Verifier"]
 
@@ -28,13 +28,18 @@ class VerificationResult:
 
     ``ok`` is True when the question may proceed to translation.
     ``reason`` is a short machine-readable code (empty when ok), and
-    ``tips`` the user-facing rephrasing suggestions.
+    ``tips`` the user-facing rephrasing suggestions.  ``tokens`` are the
+    request's tokens (empty when it was rejected before tokenizing), so
+    the parser need not tokenize the same text again.
     """
 
     ok: bool
     reason: str = ""
     message: str = ""
     tips: tuple[str, ...] = ()
+    tokens: tuple[Token, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 # Rephrasing tips per rejection reason.
@@ -135,7 +140,7 @@ class Verifier:
                     "descriptive and not supported.",
                 )
 
-        return VerificationResult(ok=True)
+        return VerificationResult(ok=True, tokens=tuple(tokens))
 
     @staticmethod
     def _reject(reason: str, message: str) -> VerificationResult:

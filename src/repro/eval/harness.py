@@ -22,27 +22,13 @@ from repro.data.corpus import (
 from repro.errors import ReproError
 from repro.eval.metrics import PrecisionRecall, set_precision_recall
 from repro.nlp.graph import DepGraph
+from repro.ui.admin import format_table
 from repro.ui.interaction import AutoInteraction
 
 __all__ = [
     "VerificationReport", "InteractionReport", "evaluate_ix_anchors",
     "evaluate_verification", "evaluate_interaction", "format_table",
 ]
-
-
-def format_table(headers: list[str], rows: list[list[object]]) -> str:
-    """Render an aligned plain-text table."""
-    rendered = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rendered))
-        if rendered else len(headers[i])
-        for i in range(len(headers))
-    ]
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rendered)
-    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,13 @@ Stanford typed-dependencies naming (see ``DEPENDENCY_LABELS``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ParsingError
 from repro.nlp.graph import DepGraph, DepNode
 from repro.nlp.lemma import Lemmatizer
 from repro.nlp.postag import PosTagger, TaggedToken
-from repro.nlp.tokenizer import Tokenizer
+from repro.nlp.tokenizer import Token, Tokenizer
 
 __all__ = ["DependencyParser", "parse", "TEMPORAL_NOUNS"]
 
@@ -105,13 +106,20 @@ class DependencyParser:
 
     # -- public API ------------------------------------------------------------
 
-    def parse(self, text: str) -> DepGraph:
+    def parse(
+        self, text: str, tokens: Sequence[Token] | None = None
+    ) -> DepGraph:
         """Parse ``text`` (one sentence) into a dependency graph.
+
+        ``tokens``, when given, must be what this parser's tokenizer
+        returns for ``text`` (the verifier's tokens, say); the parser
+        then skips tokenizing it again.
 
         Raises:
             ParsingError: if no predicate or head could be identified.
         """
-        tokens = self._tokenizer.tokenize(text)
+        if tokens is None:
+            tokens = self._tokenizer.tokenize(text)
         tagged = self._tagger.tag(tokens)
         return self.parse_tagged(tagged, sentence=text)
 

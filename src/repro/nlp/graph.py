@@ -139,6 +139,8 @@ class DepGraph:
         self._edges: list[DepEdge] = []
         self._children: dict[int, list[DepEdge]] = {}
         self._parent: dict[int, DepEdge] = {}
+        # Every node in index order, ROOT first; None until first asked.
+        self._order: list[DepNode] | None = None
 
     # -- construction (used by the parser) ------------------------------------
 
@@ -146,6 +148,7 @@ class DepGraph:
         if node.index in self._nodes:
             raise ParsingError(f"duplicate node index {node.index}")
         self._nodes[node.index] = node
+        self._order = None
 
     def add_edge(self, head: DepNode, dependent: DepNode, label: str) -> None:
         if label not in DEPENDENCY_LABELS:
@@ -179,12 +182,13 @@ class DepGraph:
         return None
 
     def nodes(self, include_root: bool = False) -> list[DepNode]:
-        """All token nodes in sentence order."""
-        nodes = sorted(
-            (n for n in self._nodes.values() if include_root or not n.is_root),
-            key=lambda n: n.index,
-        )
-        return nodes
+        """All token nodes in sentence order (a fresh list per call)."""
+        order = self._order
+        if order is None:
+            order = self._order = sorted(
+                self._nodes.values(), key=lambda n: n.index
+            )
+        return order[:] if include_root else order[1:]
 
     def node(self, index: int) -> DepNode:
         """The node at token position ``index``.

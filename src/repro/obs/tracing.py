@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, ContextManager
 
 __all__ = ["Span", "SpanRecorder", "new_request_id"]
 
@@ -42,14 +41,35 @@ def new_request_id() -> str:
 
 @dataclass
 class Span:
-    """One timed unit of work inside a request's span tree."""
+    """One timed unit of work inside a request's span tree.
+
+    ``artifact`` is what the unit produced, for the admin monitor.  A
+    stage may :meth:`defer` it: the rendering then runs when the
+    artifact is first read, so a request nobody inspects never pays
+    for it.
+    """
 
     name: str
     span_id: int
     parent_id: int | None
     start: float
     end: float | None = None
-    artifact: Any = None
+    _artifact: Any = field(default=None, repr=False)
+    _render: Callable[[], Any] | None = field(default=None, repr=False)
+
+    @property
+    def artifact(self) -> Any:
+        if self._render is not None:
+            self._artifact, self._render = self._render(), None
+        return self._artifact
+
+    @artifact.setter
+    def artifact(self, value: Any) -> None:
+        self._artifact, self._render = value, None
+
+    def defer(self, render: Callable[[], Any]) -> None:
+        """Set the artifact to ``render()``, computed on first read."""
+        self._render = render
 
     @property
     def finished(self) -> bool:
@@ -72,6 +92,27 @@ class Span:
             f"{indent}== {self.name} ({self.elapsed * 1000:.1f} ms) ==\n"
             f"{body}"
         )
+
+
+class _SpanScope:
+    """The ``with`` block of :meth:`SpanRecorder.span`.
+
+    A class, not a generator context manager: every translation opens
+    about a dozen spans, and this form costs less per span.
+    """
+
+    __slots__ = ("recorder", "name", "span")
+
+    def __init__(self, recorder: SpanRecorder, name: str):
+        self.recorder = recorder
+        self.name = name
+
+    def __enter__(self) -> Span:
+        self.span = self.recorder.start_span(self.name)
+        return self.span
+
+    def __exit__(self, *exc_info) -> None:
+        self.recorder.end_span(self.span)
 
 
 @dataclass
@@ -109,14 +150,9 @@ class SpanRecorder:
         span.end = time.perf_counter()
         self._stack.pop()
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
+    def span(self, name: str) -> ContextManager[Span]:
         """Open a child span for the duration of the ``with`` block."""
-        span = self.start_span(name)
-        try:
-            yield span
-        finally:
-            self.end_span(span)
+        return _SpanScope(self, name)
 
     def add(self, name: str, artifact: Any, elapsed: float) -> None:
         """Compatibility shim: record an already-measured span.
@@ -133,7 +169,7 @@ class SpanRecorder:
             parent_id=parent.span_id if parent else None,
             start=now - elapsed,
             end=now,
-            artifact=artifact,
+            _artifact=artifact,
         ))
 
     # -- tree structure ------------------------------------------------------

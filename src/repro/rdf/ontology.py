@@ -17,6 +17,7 @@ Conventions of our ontology snapshots (see ``repro/data/*.ttl``):
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,10 @@ __all__ = ["Ontology", "EntityMatch", "KB"]
 #: The namespace every ontology snapshot uses for its terms.
 KB = Namespace("http://repro.example/kb/")
 
+
+#: How many ``lookup`` results one ontology memoizes.  Past the bound,
+#: the oldest entry goes first.
+LOOKUP_MEMO_SIZE = 1024
 
 _NON_WORD = re.compile(r"[^\w\s,]")
 _COMMA_RUN = re.compile(r"\s*,\s*")
@@ -84,6 +89,10 @@ class Ontology:
         self._by_token: dict[str, list[_LabelEntry]] = {}
         self._classes: set[IRI] = set()
         self._properties: set[IRI] = set()
+        # (store epoch, phrase, kinds) -> ranked matches.  Reads take no
+        # lock; inserts and evictions do, so the bound always holds.
+        self._lookup_memo: dict[tuple, tuple[EntityMatch, ...]] = {}
+        self._memo_lock = threading.Lock()
         self._build_indexes()
 
     @classmethod
@@ -198,7 +207,25 @@ class Ontology:
         Scoring: 1.0 exact preferred label; 0.9 exact alias; otherwise
         token-overlap Jaccard scaled to (0, 0.8].  Ties break by entity
         prominence (incident-triple degree), then label.
+
+        Results are memoized per ``(store epoch, phrase, kinds)``: any
+        add or remove moves the epoch, so a mutated store is never
+        served a stale ranking or label.  Each call returns a fresh
+        list.
         """
+        key = (self.store.epoch, phrase, kinds)
+        cached = self._lookup_memo.get(key)
+        if cached is None:
+            cached = tuple(self._rank(phrase, kinds))
+            with self._memo_lock:
+                memo = self._lookup_memo
+                while len(memo) >= LOOKUP_MEMO_SIZE:
+                    del memo[next(iter(memo))]
+                memo[key] = cached
+        return list(cached)
+
+    def _rank(self, phrase: str, kinds: tuple[str, ...] | None
+              ) -> list[EntityMatch]:
         normalized = normalize_label(phrase)
         if not normalized:
             return []

@@ -17,7 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.stats import ServingStats
 
 __all__ = [
-    "render_plan", "render_service_stats", "render_serving_stats",
+    "format_table", "render_plan", "render_service_stats",
+    "render_serving_stats",
 ]
 
 # Pipeline order, parents before their children; unknown stages follow
@@ -30,10 +31,12 @@ _STAGE_ORDER = (
 )
 
 
-def _rows_to_table(headers: list[str], rows: list[list[str]]) -> str:
+def format_table(headers: list[str], rows: list[list[object]]) -> str:
+    """Render an aligned plain-text table (the admin panels and E-tables)."""
+    rendered = [[str(c) for c in row] for row in rows]
     widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows))
-        if rows else len(headers[i])
+        max(len(headers[i]), *(len(r[i]) for r in rendered))
+        if rendered else len(headers[i])
         for i in range(len(headers))
     ]
 
@@ -41,7 +44,7 @@ def _rows_to_table(headers: list[str], rows: list[list[str]]) -> str:
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
 
     out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
+    out.extend(line(r) for r in rendered)
     return "\n".join(out)
 
 
@@ -113,7 +116,7 @@ def render_service_stats(stats: "ServiceStats") -> str:
             for stage in ordered
         ]
         lines.append("")
-        lines.append(_rows_to_table(
+        lines.append(format_table(
             ["stage", "kind", "mean ms", "n"], rows
         ))
     return "\n".join(lines)
@@ -171,7 +174,7 @@ def render_serving_stats(stats: "ServingStats") -> str:
             for shard in stats.shards
         ]
         lines.append("")
-        lines.append(_rows_to_table(
+        lines.append(format_table(
             ["shard", "pid", "state", "pending", "restarts",
              "requests", "cached", "errors"],
             rows,

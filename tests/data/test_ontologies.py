@@ -1,7 +1,11 @@
 """Tests for the embedded ontology snapshots and the Ontology service."""
 
+import sys
+import threading
+
 import pytest
 
+import repro.rdf.ontology as ontology_module
 from repro.data.ontologies import (
     load_dbpedia,
     load_food,
@@ -9,6 +13,7 @@ from repro.data.ontologies import (
     load_merged_ontology,
 )
 from repro.rdf.ontology import KB, normalize_label
+from repro.rdf.terms import RDFS, Literal
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +159,77 @@ class TestNormalizeLabel:
     ])
     def test_normalization(self, raw, expected):
         assert normalize_label(raw) == expected
+
+
+class TestLookupMemo:
+    """``lookup`` is memoized per (store epoch, phrase, kinds)."""
+
+    def test_mutating_a_result_does_not_poison_the_memo(self, geo):
+        first = geo.lookup("Buffalo")
+        expected = list(first)
+        first.clear()
+        second = geo.lookup("Buffalo")
+        assert second == expected
+        assert second is not geo.lookup("Buffalo")
+
+    def test_relabel_on_a_mutable_copy_shows_in_lookup(self, geo):
+        clone = geo.copy()
+        assert clone.lookup("Delaware Park")[0].label == "Delaware Park"
+        old = clone.store.value(KB.Delaware_Park, RDFS.label, None)
+        clone.store.remove(KB.Delaware_Park, RDFS.label, old)
+        clone.store.add(
+            KB.Delaware_Park, RDFS.label, Literal("Olmsted's Park")
+        )
+        matches = clone.lookup("Delaware Park")
+        assert matches[0].label == "Olmsted's Park"
+        assert matches == clone._rank("Delaware Park", None)
+
+    def test_memo_never_exceeds_its_bound(self, geo, monkeypatch):
+        monkeypatch.setattr(ontology_module, "LOOKUP_MEMO_SIZE", 8)
+        clone = geo.copy()
+        for i in range(30):
+            clone.lookup(f"park {i}")
+            assert len(clone._lookup_memo) <= 8
+        # The newest entry survives eviction.
+        assert any(key[1] == "park 29" for key in clone._lookup_memo)
+
+    def test_concurrent_lookups_agree(self, geo, monkeypatch):
+        # More threads than cores, a tiny bound so inserts evict, and a
+        # short switch interval so threads interleave inside lookup.
+        monkeypatch.setattr(ontology_module, "LOOKUP_MEMO_SIZE", 4)
+        clone = geo.copy()
+        phrases = [
+            "Buffalo", "Delaware Park", "places", "hotel", "near",
+            "Forest Hotel", "zoo", "Albright", "xyzzyplugh",
+        ] * 10
+        expected = {p: clone._rank(p, None) for p in phrases}
+        barrier = threading.Barrier(4)
+        results: list[list] = [[] for _ in range(4)]
+        sizes: list[int] = []
+
+        def worker(slot: int) -> None:
+            barrier.wait()
+            order = phrases if slot % 2 else phrases[::-1]
+            for phrase in order:
+                results[slot].append((phrase, clone.lookup(phrase)))
+                sizes.append(len(clone._lookup_memo))
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert max(sizes) <= 4
+        for slot in results:
+            assert len(slot) == len(phrases)
+            for phrase, matches in slot:
+                assert matches == expected[phrase]
