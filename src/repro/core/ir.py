@@ -82,8 +82,5 @@ class ProtoTriple:
     def terms(self) -> tuple[ProtoTerm, ProtoTerm, ProtoTerm]:
         return (self.s, self.p, self.o)
 
-    def node_terms(self) -> list[NodeTerm]:
-        return [t for t in self.terms() if isinstance(t, NodeTerm)]
-
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return f"[{self.origin}] {self.s} {self.p} {self.o}"

@@ -209,10 +209,6 @@ class DepGraph:
             e.dependent for e in edges if label is None or e.label == label
         ]
 
-    def child_edges(self, node: DepNode) -> list[DepEdge]:
-        """Outgoing edges of ``node``."""
-        return list(self._children.get(node.index, []))
-
     def parent_edge(self, node: DepNode) -> DepEdge | None:
         """The incoming edge of ``node`` (None for ROOT / detached nodes)."""
         return self._parent.get(node.index)

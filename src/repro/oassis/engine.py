@@ -184,12 +184,6 @@ class OassisEngine:
             labelnames=("result",),
         )
 
-    def clear_answer_cache(self) -> None:
-        """Drop memoized crowd answers (e.g. after swapping the crowd)."""
-        self._answer_cache.clear()
-        self.answer_cache_hits = 0
-        self.answer_cache_misses = 0
-
     # -- public API ---------------------------------------------------------------
 
     def evaluate(self, query: OassisQuery) -> QueryResult:

@@ -160,8 +160,8 @@ class TranslationCache:
         """Insert (or refresh) an entry, evicting the LRU if full.
 
         Returns True when a new entry was **inserted**, False when an
-        existing key was merely refreshed — the distinction
-        :meth:`warm` and the ``insertions`` counter are built on.
+        existing key was merely refreshed — the distinction the
+        ``insertions`` counter is built on.
         """
         key = self.make_key(text, fingerprint)
         with self._lock:
@@ -176,62 +176,21 @@ class TranslationCache:
             self._insertions += 1
             return True
 
-    def warm(
-        self, entries: Iterable[tuple[str, str, Any]]
-    ) -> int:
-        """Pre-load (text, fingerprint, result) triples.
-
-        Warming does not touch the hit/miss counters — it is not
-        traffic.  Returns the number of entries actually inserted
-        (refreshed duplicates are not counted).
-        """
-        n = 0
-        for text, fingerprint, result in entries:
-            if self.put(text, fingerprint, result):
-                n += 1
-        return n
-
     # -- warm restarts ------------------------------------------------------------
-
-    def export_hot(self, n: int) -> list[tuple[str, str, str]]:
-        """Up to ``n`` hottest entries as (text, fingerprint, query text).
-
-        Ordered hottest-first (most recently used first), which is the
-        order a seeding peer should replay them in so that, if its cache
-        is smaller, the hottest survive.  Entries whose cached value has
-        no serialized query text (no ``query_text`` attribute, or an
-        empty one) are skipped — they cannot be rebuilt on the far side.
-        Exporting is introspection: it does not touch LRU order or any
-        counter.
-        """
-        if n <= 0:
-            return []
-        out: list[tuple[str, str, str]] = []
-        with self._lock:
-            for (text, fingerprint), result in reversed(
-                self._entries.items()
-            ):
-                query_text = getattr(result, "query_text", None)
-                if not query_text:
-                    continue
-                out.append((text, fingerprint, query_text))
-                if len(out) >= n:
-                    break
-        return out
 
     def seed(
         self, entries: Iterable[tuple[str, str, Any]]
     ) -> tuple[int, int]:
-        """Replay (text, fingerprint, result) triples from a peer.
+        """Replay (text, fingerprint, result) triples into the cache.
 
-        The warm-restart counterpart of :meth:`warm`, with stricter
+        The warm-restart counterpart of :meth:`put`, with its own
         accounting and the same refusal rules the live cache path
         applies: degraded results and results whose lint report carries
-        errors are **refused** (they were never cacheable, so a peer
-        offering one is handing us stale or suspect data).  Seeded
-        entries are counted on their own ``warmed`` counter — never as
-        hits, misses or insertions — so hit rates and ``warm()``
-        reporting keep measuring real traffic.  Existing keys are left
+        errors are **refused** (they were never cacheable, so an entry
+        offering one is stale or suspect data).  Seeded entries are
+        counted on their own ``warmed`` counter — never as hits, misses
+        or insertions — so hit rates and ``warm()`` reporting keep
+        measuring real traffic.  Existing keys are left
         untouched (neither warmed nor refused: the live entry wins).
 
         Returns ``(warmed, refused)``.

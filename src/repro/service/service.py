@@ -296,7 +296,7 @@ _SEEDED_TRACE = _SeededTrace()
 
 @dataclass(frozen=True)
 class SeededTranslation:
-    """A cache entry rebuilt from a peer's serialized export.
+    """A cache entry rebuilt from a warm-restart seed frame.
 
     The warm-restart protocol ships only what survives the wire —
     the normalized question, the provider fingerprint, and the final
@@ -811,27 +811,14 @@ class TranslationService:
         """The default provider's cache identity, or None.
 
         This is the fingerprint every cache entry made through the
-        default provider carries; peers use it to decide whether their
-        exported entries are usable here.
+        default provider carries; the shard manager stamps it on the
+        entries it replays into a restarted worker.
         """
         return self._fingerprint(self._provider(None))
 
-    def export_hot_entries(self, n: int) -> list[dict]:
-        """Up to ``n`` hottest cache entries as JSON-safe dicts.
-
-        Each entry is ``{"text", "fingerprint", "query"}`` — the
-        ``cache_export`` frame body of the warm-restart protocol,
-        hottest first.  An empty list when caching is disabled.
-        """
-        if self.cache is None:
-            return []
-        return [
-            {"text": text, "fingerprint": fingerprint, "query": query}
-            for text, fingerprint, query in self.cache.export_hot(n)
-        ]
-
     def seed_cache(self, entries: Iterable[dict]) -> tuple[int, int]:
-        """Replay a peer's exported entries into this service's cache.
+        """Replay ``{"text", "fingerprint", "query"}`` entries into
+        this service's cache.
 
         The receive side of the warm-restart protocol: each wire dict is
         rebuilt as a :class:`SeededTranslation` and handed to

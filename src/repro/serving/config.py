@@ -33,9 +33,12 @@ __all__ = ["WorkerSpec"]
 class WorkerSpec:
     """The per-shard service recipe.
 
+    The shard's translator runs with the ``NL2CM`` defaults for
+    query lint (``"error"``: a result with ERROR diagnostics is refused,
+    so it is never cached, recorded for warm-up or replayed) and
+    knowledge-base lint (``"warn"``).
+
     Attributes:
-        lint: query-lint mode of the shard's translator.
-        kb_lint: construction-time knowledge-base lint mode.
         cache_size: translation-LRU capacity; ``0`` disables caching
             (the cache-cold benchmark configuration).
         threads: thread fan-out of the shard-local ``translate_batch``.
@@ -59,8 +62,6 @@ class WorkerSpec:
             turn it on to occupy a shard deterministically.
     """
 
-    lint: str = "error"
-    kb_lint: str = "warn"
     cache_size: int = 256
     threads: int = 1
     retries: int | None = None
@@ -94,8 +95,6 @@ class WorkerSpec:
 
         nl2cm = NL2CM(
             ontology=load_merged_ontology(),
-            lint=self.lint,
-            kb_lint=self.kb_lint,
             stage_timeout_ms=self.stage_timeout_ms,
         )
         return TranslationService(

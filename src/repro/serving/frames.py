@@ -39,16 +39,15 @@ __all__ = [
 ]
 
 #: The op vocabulary of the manager↔worker envelope.  ``hello`` flows
-#: worker→manager only (the readiness signal); ``cache_export`` /
-#: ``cache_seed`` are the warm-restart protocol — the manager pulls a
-#: surviving worker's hottest cache entries and replays them into a
-#: freshly restarted one before it rejoins the ring.  Workers answer an
-#: op outside this set with a typed ``FrameProtocolError`` payload
-#: rather than dying, so a newer manager degrades gracefully against an
-#: older worker.
+#: worker→manager only (the readiness signal); ``cache_seed`` is the
+#: warm-restart protocol — the manager replays its shadow index's
+#: hottest entries for a shard into the freshly restarted worker before
+#: it rejoins the ring.  Workers answer an op outside this set with a
+#: typed ``FrameProtocolError`` payload rather than dying, so a newer
+#: manager degrades gracefully against an older worker.
 KNOWN_OPS = frozenset({
     "hello", "ping", "translate", "batch", "lint", "stats",
-    "cache_export", "cache_seed", "stall", "shutdown",
+    "cache_seed", "stall", "shutdown",
 })
 
 #: Hard ceiling on one frame's payload.  Big enough for a several-

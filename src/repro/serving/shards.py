@@ -19,7 +19,9 @@ keyspace, and one framed channel per worker.  The pieces:
   shard, new ones are *shed* with :class:`AdmissionRejected` (HTTP
   429 upstairs) instead of growing an unbounded queue.  A per-shard
   :class:`~repro.resilience.CircuitBreaker` over dispatch failures
-  sheds proactively while a shard is misbehaving.
+  (:data:`BREAKER_THRESHOLD` consecutive failures open it for
+  :data:`BREAKER_RECOVERY_SECONDS`) sheds proactively while a shard is
+  misbehaving.
 * **Crash recovery** — a dead channel triggers one in-place restart
   (same shard id, so the ring needs no surgery and the keyspace
   re-routes to the replacement automatically) and one retry of the
@@ -27,14 +29,15 @@ keyspace, and one framed channel per worker.  The pieces:
   :class:`WorkerCrashedError`.
 * **Warm restarts** — before a replacement worker rejoins the ring,
   the manager replays the shard's hottest translations into its cache
-  (``cache_seed``): first from a manager-side *shadow index* of
-  recently served (question, query) pairs, topped up by pulling
-  surviving siblings' hottest entries (``cache_export``) — so a crash
-  costs restart latency, not a cold cache.  Warm-up is bounded
+  (``cache_seed``) from a manager-side *shadow index* of recently
+  served (question, query) pairs — so a crash costs restart latency,
+  not a cold cache.  The shadow index is the only source: the ring is
+  fixed and a restart keeps the shard id, so a sibling's cache only
+  ever holds the sibling's own keys.  Warm-up is bounded
   (``warmup_keys`` entries, one short deadline), best-effort (a
   failure leaves the worker cold, never down), and happens while only
   the dead shard's dispatch lock is held — admission control and the
-  other shards are never blocked by it.
+  other shards are never touched by it.
 * **Stats** — one probe asks every worker for its registry exposition
   and keeps each shard's *lifetime* metrics snapshot: a **carry-forward**
   of its dead predecessors' counters (folded in at restart, gauges
@@ -102,6 +105,14 @@ START_METHODS = ("spawn", "thread")
 
 #: Per-shard budget of a ``stats`` probe (``stats()`` and ``expose()``).
 _PROBE_SECONDS = 10.0
+
+#: Virtual nodes per shard on the hash ring.
+RING_REPLICAS = 128
+
+#: Consecutive dispatch failures that open a shard's circuit breaker,
+#: and how long it then sheds before a half-open probe.
+BREAKER_THRESHOLD = 8
+BREAKER_RECOVERY_SECONDS = 2.0
 
 
 @dataclass(frozen=True)
@@ -208,10 +219,9 @@ class _ShadowIndex:
     A small LRU of ``normalized question -> query text`` fed by every
     successful, non-degraded outcome that passes through the manager.
     It exists for exactly one moment: when a worker dies, its
-    replacement is seeded from here (topped up from sibling shards)
-    before rejoining the ring.  Guarded by its own lock — recording on
-    the hot path costs one dict update and never touches a handle lock
-    or the manager lock.
+    replacement is seeded from here before rejoining the ring.  Guarded
+    by its own lock — recording on the hot path costs one dict update
+    and never touches a handle lock or the manager lock.
     """
 
     def __init__(self, capacity: int):
@@ -292,18 +302,15 @@ class ShardManager:
         request_timeout: default per-request deadline in seconds.
         connect_timeout: how long to wait for a worker's ``hello``.
         retry_after: the shed response's Retry-After hint, seconds.
-        ring_replicas: virtual nodes per shard on the hash ring.
-        breaker_threshold: consecutive dispatch failures that open a
-            shard's circuit breaker (0 disables breakers).
-        breaker_recovery_ms: open-circuit cool-down before probing.
         warmup_keys: how many hot cache entries to replay into a
             restarted worker before it rejoins the ring (0 disables
             warm restarts *and* the shadow-index bookkeeping feeding
             them).  Warm-up is best-effort and bounded — a failed or
             slow seed leaves the replacement cold, never down.
-        registry: metrics registry for the ``serving_*`` series; a
-            private one is built if omitted.  The HTTP front-end
-            shares it so ``/metrics`` covers both layers.
+
+    The ``serving_*`` series live in the manager's own
+    :attr:`registry`; the HTTP front-end shares it so ``/metrics``
+    covers both layers.
     """
 
     def __init__(
@@ -316,11 +323,7 @@ class ShardManager:
         request_timeout: float = 30.0,
         connect_timeout: float = 120.0,
         retry_after: float = 1.0,
-        ring_replicas: int = 128,
-        breaker_threshold: int = 8,
-        breaker_recovery_ms: float = 2000.0,
         warmup_keys: int = 64,
-        registry: MetricsRegistry | None = None,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -337,20 +340,20 @@ class ShardManager:
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
         self.retry_after = retry_after
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._ctx = (
             multiprocessing.get_context(start_method)
             if start_method != "thread" else None
         )
         self._token = os.urandom(16).hex()
-        self._ring = HashRing(range(shards), replicas=ring_replicas)
+        self._ring = HashRing(range(shards), replicas=RING_REPLICAS)
         self._handles = [_WorkerHandle(i) for i in range(shards)]
-        self._breakers: list[CircuitBreaker | None] = [
+        self._breakers = [
             CircuitBreaker(
-                failure_threshold=breaker_threshold,
-                recovery_seconds=breaker_recovery_ms / 1000.0,
+                failure_threshold=BREAKER_THRESHOLD,
+                recovery_seconds=BREAKER_RECOVERY_SECONDS,
                 name=f"shard-{i}",
-            ) if breaker_threshold > 0 else None
+            )
             for i in range(shards)
         ]
         self._lock = threading.Lock()          # manager-level counters
@@ -578,25 +581,20 @@ class ShardManager:
         handle.fingerprint = fingerprint
         self._warm_restart_locked(handle)
 
-    #: Budget for one warm-up exchange (a sibling export pull or the
-    #: replacement seed).  Short on purpose: warm-up rides inside a
-    #: restart that a live request is waiting on.
+    #: Budget for the warm-up seed exchange.  Short on purpose: warm-up
+    #: rides inside a restart that a live request is waiting on.
     _WARMUP_TIMEOUT = 5.0
 
     def _warm_restart_locked(self, handle: _WorkerHandle) -> None:
         """Seed a freshly restarted worker's cache; never raises.
 
         The caller holds ``handle.lock`` (and nothing else).  Entries
-        come from the shadow index first — the manager's own memory of
-        what this keyspace slice served — topped up from surviving
-        siblings' exports.  Sibling pulls are strictly best-effort:
-        ``lock.acquire(blocking=False)``, so a busy or restarting
-        sibling is skipped rather than waited on (two simultaneous
-        restarts can never deadlock pulling from each other).  Any
+        come from the shadow index — the manager's own memory of what
+        this keyspace slice served; no other shard is contacted.  Any
         failure downgrades to a cold start; the worker is already
         accepting frames either way.
         """
-        if self.warmup_keys <= 0 or self._shadow is None:
+        if self._shadow is None:  # warmup_keys=0
             return
         fingerprint = handle.fingerprint
         try:
@@ -638,71 +636,13 @@ class ShardManager:
         self, handle: _WorkerHandle, fingerprint: str
     ) -> list[dict]:
         """The seed payload for one restarted shard, hottest first."""
-        def owned(key: str) -> bool:
-            return self._ring.lookup(key) == handle.shard
-
-        entries: list[dict] = []
-        seen: set[str] = set()
-        for text, query in self._shadow.hottest(self.warmup_keys, owned):
-            entries.append({
-                "text": text, "fingerprint": fingerprint, "query": query,
-            })
-            seen.add(text)
-        if len(entries) >= self.warmup_keys:
-            return entries
-        for sibling in self._handles:
-            if sibling.shard == handle.shard:
-                continue
-            reply = self._exchange_nowait(
-                sibling,
-                {"op": "cache_export", "n": self.warmup_keys},
+        return [
+            {"text": text, "fingerprint": fingerprint, "query": query}
+            for text, query in self._shadow.hottest(
+                self.warmup_keys,
+                lambda key: self._ring.lookup(key) == handle.shard,
             )
-            if reply is None or not reply.get("ok"):
-                continue
-            for entry in reply.get("entries") or []:
-                if not isinstance(entry, dict):
-                    continue
-                text = entry.get("text")
-                if (
-                    not isinstance(text, str)
-                    or text in seen
-                    or not owned(TranslationCache.normalize(text))
-                    or entry.get("fingerprint") != fingerprint
-                ):
-                    continue
-                entries.append(entry)
-                seen.add(text)
-                if len(entries) >= self.warmup_keys:
-                    return entries
-        return entries
-
-    def _exchange_nowait(
-        self, handle: _WorkerHandle, payload: dict
-    ) -> dict | None:
-        """One best-effort side-channel roundtrip, or None.
-
-        Unlike :meth:`_roundtrip` this never blocks on a busy handle,
-        never restarts a dead one, and never raises — it exists for
-        warm-up's sibling pulls, which must not amplify one shard's
-        crash into cluster-wide lock convoys.
-        """
-        if not handle.lock.acquire(blocking=False):
-            return None
-        try:
-            if handle.channel is None or not handle.alive():
-                return None
-            request_id = handle.next_id()
-            message = dict(payload)
-            message["id"] = request_id
-            handle.channel.send(message)
-            return self._await_reply(
-                handle, request_id,
-                time.monotonic() + self._WARMUP_TIMEOUT,
-            )
-        except (ReproError, OSError, TimeoutError):
-            return None
-        finally:
-            handle.lock.release()
+        ]
 
     # -- dispatch --------------------------------------------------------------
 
@@ -743,7 +683,7 @@ class ShardManager:
                 # the deadline clause must come first or every expiry
                 # would masquerade as a crash and trigger a restart.
                 except TimeoutError as err:
-                    self._note_failure(handle.shard)
+                    self._breakers[handle.shard].record_failure()
                     raise ShardTimeoutError(
                         f"shard {handle.shard} did not answer within "
                         f"{budget:.3f}s",
@@ -754,7 +694,7 @@ class ShardManager:
                     ChannelClosedError, FrameProtocolError, OSError
                 ) as err:
                     last_error = err
-                    self._note_failure(handle.shard)
+                    self._breakers[handle.shard].record_failure()
                     if attempt == 1 and not self._closed:
                         self._restart_locked(handle)
                         continue
@@ -763,7 +703,7 @@ class ShardManager:
                         f"restart-retry failed: {err}",
                         shard=handle.shard,
                     ) from err
-                self._note_success(handle.shard)
+                self._breakers[handle.shard].record_success()
                 if payload.get("op") == "stats" and reply.get("ok"):
                     # Refresh the carry-forward bookkeeping while the
                     # handle lock is still held: a restart's fold
@@ -821,16 +761,6 @@ class ShardManager:
         ):
             self._shadow.record(outcome.text, outcome.query)
 
-    def _note_failure(self, shard: int) -> None:
-        breaker = self._breakers[shard]
-        if breaker is not None:
-            breaker.record_failure()
-
-    def _note_success(self, shard: int) -> None:
-        breaker = self._breakers[shard]
-        if breaker is not None:
-            breaker.record_success()
-
     def _shed(
         self, shard: int, reason: str, count: int
     ) -> AdmissionRejected:
@@ -848,8 +778,7 @@ class ShardManager:
 
     def _admit(self, shard: int, count: int) -> _AdmissionGate:
         """Pass admission control or raise the shed error."""
-        breaker = self._breakers[shard]
-        if breaker is not None and not breaker.allow():
+        if not self._breakers[shard].allow():
             raise self._shed(shard, "breaker_open", count)
         gate = self._gates[shard]
         if not gate.try_enter():

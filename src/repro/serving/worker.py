@@ -21,13 +21,11 @@ lint       static analysis of a saved query or a question
 stats      the shard's metrics registry as Prometheus text
            (``registry.expose()``); the manager parses it back and
            reads it through ``ServiceStats.from_samples``
-cache_export  the shard's hottest cache entries (text, fingerprint,
-           serialized query text), hottest-first — the donate side
-           of the warm-restart protocol
-cache_seed replay a peer's exported entries into this shard's cache
-           (counted as ``warmed``, never as hits or insertions;
-           degraded/lint-refused entries are rejected) — the receive
-           side of the warm-restart protocol
+cache_seed replay (text, fingerprint, query text) entries into this
+           shard's cache (counted as ``warmed``, never as hits or
+           insertions; malformed entries are refused) — the
+           warm-restart protocol: the manager sends a restarted
+           shard its shadow index's hottest entries
 stall      diagnostic sleep (only with ``spec.debug_ops``); lets
            tests occupy a shard deterministically
 shutdown   acknowledge, then leave the loop (graceful drain)
@@ -187,12 +185,6 @@ def _handle(
         # The loop serves one frame at a time, so no request is half
         # counted while the registry is exposed.
         return {"ok": True, "metrics": service.registry.expose()}
-    if op == "cache_export":
-        try:
-            n = int(request.get("n", 0))
-        except (TypeError, ValueError):
-            n = 0
-        return {"ok": True, "entries": service.export_hot_entries(n)}
     if op == "cache_seed":
         entries = request.get("entries")
         if not isinstance(entries, list):
@@ -268,8 +260,8 @@ def worker_main(
     try:
         service = spec.build_service()
         # hello after construction: receiving it means "ready".  The
-        # fingerprint tells the manager which exported cache entries
-        # this worker can actually use for a warm restart.
+        # fingerprint is what the manager stamps on the cache entries
+        # it replays into this worker on a warm restart.
         channel.send({
             "op": "hello",
             "shard": shard,

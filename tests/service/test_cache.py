@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.service.cache import TranslationCache
+from repro.service.service import SeededTranslation
 
 FP = "auto:limit=5:threshold=0.1"
 
@@ -86,14 +87,6 @@ class TestCounters:
         assert (stats.hits, stats.misses) == (2, 1)
         assert stats.hit_rate == pytest.approx(2 / 3)
 
-    def test_warm_does_not_count_as_traffic(self):
-        cache = TranslationCache(capacity=4)
-        n = cache.warm([("a", FP, 1), ("b", FP, 2)])
-        assert n == 2
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 0)
-        assert stats.size == 2
-
     def test_clear_and_reset(self):
         cache = TranslationCache(capacity=4)
         cache.put("a", FP, 1)
@@ -109,31 +102,6 @@ class TestCounters:
 
 
 class TestWarmRestartProtocol:
-    def test_export_hot_is_lru_ordered_hottest_first(self):
-        cache = TranslationCache(capacity=8)
-        for name in ("a", "b", "c"):
-            cache.put(name, FP, _result(query_text=f"Q-{name}"))
-        cache.get("a", FP)  # "a" becomes the hottest
-        exported = cache.export_hot(2)
-        assert [text for text, _, _ in exported] == ["a", "c"]
-        assert exported[0] == ("a", FP, "Q-a")
-
-    def test_export_skips_values_without_query_text(self):
-        cache = TranslationCache(capacity=8)
-        cache.put("plain", FP, "not a result object")
-        cache.put("real", FP, _result(query_text="Q"))
-        assert cache.export_hot(10) == [("real", FP, "Q")]
-
-    def test_export_does_not_touch_counters_or_order(self):
-        cache = TranslationCache(capacity=2)
-        cache.put("old", FP, _result())
-        cache.put("new", FP, _result())
-        cache.export_hot(2)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 0)
-        cache.put("third", FP, _result())  # evicts "old", still LRU
-        assert cache.get("old", FP) is None
-
     def test_seed_counts_warmed_not_hits_or_insertions(self):
         cache = TranslationCache(capacity=8)
         warmed, refused = cache.seed([
@@ -188,13 +156,22 @@ class TestWarmRestartProtocol:
         assert cache.stats().warmed == 0
 
     def test_export_seed_roundtrip_between_caches(self):
-        donor = TranslationCache(capacity=8)
-        for name in ("a", "b", "c"):
-            donor.put(name, FP, _result(query_text=f"Q-{name}"))
+        # Wire entries shaped the way the shard manager builds them from
+        # its shadow index, rebuilt as the worker's seed path does.
+        entries = [
+            {"text": name, "fingerprint": FP, "query": f"Q-{name}"}
+            for name in ("a", "b", "c")
+        ]
         fresh = TranslationCache(capacity=8)
         warmed, refused = fresh.seed([
-            (text, fp, _result(query_text=query))
-            for text, fp, query in donor.export_hot(10)
+            (
+                entry["text"],
+                entry["fingerprint"],
+                SeededTranslation(
+                    text=entry["text"], query_text=entry["query"]
+                ),
+            )
+            for entry in entries
         ])
         assert (warmed, refused) == (3, 0)
         assert fresh.get("b", FP).query_text == "Q-b"

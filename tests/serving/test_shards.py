@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import AdmissionRejected, ServingError, ShardTimeoutError
 from repro.serving import ShardManager, WorkerSpec
+from repro.serving.shards import BREAKER_RECOVERY_SECONDS, BREAKER_THRESHOLD
 from repro.service.cache import TranslationCache
 
 from tests.serving.conftest import SUPPORTED, UNSUPPORTED
@@ -238,6 +239,29 @@ class TestAdmissionControl:
         stats = tight_manager.stats()
         assert stats.deadline_expired >= 1
         assert stats.requests == stats.accounted
+
+    def test_dispatch_breaker_opens_sheds_and_recovers(self):
+        with ShardManager(
+            shards=2,
+            spec=WorkerSpec(cache_size=0, debug_ops=True),
+            start_method="thread",
+        ) as manager:
+            question = SUPPORTED[0]
+            shard = manager.route(question)
+            for _ in range(BREAKER_THRESHOLD):
+                with pytest.raises(ShardTimeoutError):
+                    manager.debug_stall(shard, 0.2, timeout=0.01)
+            with pytest.raises(AdmissionRejected) as excinfo:
+                manager.submit(question)
+            assert excinfo.value.reason == "breaker_open"
+            # After the cool-down the half-open probe goes through (the
+            # queued stalls have drained by then) and closes the breaker.
+            time.sleep(BREAKER_RECOVERY_SECONDS + 0.1)
+            assert manager.submit(question).ok
+            stats = manager.stats()
+            assert stats.shed_breaker_open == 1
+            assert stats.shed_queue_full == 0
+            assert stats.requests == stats.accounted
 
     def test_stall_requires_debug_ops(self):
         with ShardManager(

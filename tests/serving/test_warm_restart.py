@@ -13,10 +13,11 @@ instead of sharing the module fixture.
 """
 
 import threading
+from collections import Counter
 
-import pytest
-
+from repro.data.corpus import supported_questions
 from repro.serving import ShardManager, WorkerSpec
+from repro.service.cache import TranslationCache
 
 from tests.serving.conftest import SUPPORTED, UNSUPPORTED
 
@@ -125,6 +126,37 @@ class TestWarmRestart:
                 if shard.shard != crashed:
                     assert shard.stats.cache.warmed == 0
 
+    def test_each_shard_caches_only_its_own_keys(self):
+        """The ownership invariant behind a shadow-index-only warm-up:
+        every insert reaches the shard ``route()`` names, so a sibling's
+        cache never holds a restarted shard's keys, and a restart does
+        not contact the siblings at all."""
+        questions = [q.text for q in supported_questions()]
+        with _manager(
+            shards=3, spec=WorkerSpec(cache_size=2 * len(questions)),
+        ) as manager:
+            for _ in range(2):
+                for question in questions:
+                    assert manager.submit(question).ok
+            owned = Counter(
+                manager.route(key)
+                for key in {TranslationCache.normalize(q) for q in questions}
+            )
+            stats = manager.stats()
+            for shard in stats.shards:
+                assert shard.stats.cache.size == owned[shard.shard]
+
+            crashed = manager.route(questions[0])
+            siblings = [
+                h for h in manager._handles if h.shard != crashed
+            ]
+            ids_before = [h._request_id for h in siblings]
+            _crash(manager, crashed)
+            assert manager.submit(questions[0], timeout=60.0).cached
+            assert [h._request_id for h in siblings] == ids_before
+            stats = manager.stats()
+            assert stats.cache_warmup_entries == owned[crashed]
+
     def test_merged_counters_survive_restart_monotonically(self):
         with _manager() as manager:
             for question in SUPPORTED + [UNSUPPORTED]:
@@ -200,40 +232,39 @@ class TestWarmRestart:
 
 
 class TestWarmupOps:
-    """The donate/receive frame ops, driven directly over the channel."""
-
-    def test_cache_export_returns_hottest_entries(self):
-        with _manager() as manager:
-            question = SUPPORTED[0]
-            first = manager.submit(question)
-            shard = first.shard
-            reply = manager._roundtrip(
-                manager._handles[shard], {"op": "cache_export", "n": 8}
-            )
-            assert reply["ok"]
-            entries = reply["entries"]
-            assert entries, "a served question must be exportable"
-            hottest = entries[0]
-            assert hottest["query"] == first.query
-            assert hottest["fingerprint"] == (
-                manager._handles[shard].fingerprint
-            )
+    """The ``cache_seed`` frame op, driven directly over the channel."""
 
     def test_cache_seed_roundtrip_warms_the_peer(self):
         with _manager() as manager:
             question = SUPPORTED[0]
-            donor = manager.submit(question).shard
-            receiver = 1 - donor
-            exported = manager._roundtrip(
-                manager._handles[donor], {"op": "cache_export", "n": 8}
-            )["entries"]
+            first = manager.submit(question)
+            handle = manager._handles[first.shard]
+            # Built the way _gather_warmup_entries builds a seed frame.
+            entries = [{
+                "text": question,
+                "fingerprint": handle.fingerprint,
+                "query": first.query,
+            }]
+            peer = manager._handles[1 - first.shard]
             reply = manager._roundtrip(
-                manager._handles[receiver],
-                {"op": "cache_seed", "entries": exported},
+                peer, {"op": "cache_seed", "entries": entries}
             )
             assert reply["ok"]
-            assert reply["warmed"] == len(exported)
-            assert reply["refused"] == 0
+            assert (reply["warmed"], reply["refused"]) == (1, 0)
+            # A second replay of the same key leaves the live entry be.
+            reply = manager._roundtrip(
+                peer, {"op": "cache_seed", "entries": entries}
+            )
+            assert (reply["warmed"], reply["refused"]) == (0, 0)
+
+    def test_cache_export_is_an_unknown_op(self):
+        with _manager() as manager:
+            reply = manager._roundtrip(
+                manager._handles[0], {"op": "cache_export", "n": 8}
+            )
+            assert not reply["ok"]
+            assert reply["error"]["type"] == "FrameProtocolError"
+            assert "unknown op 'cache_export'" in reply["error"]["message"]
 
     def test_cache_seed_refuses_malformed_entries(self):
         with _manager() as manager:
