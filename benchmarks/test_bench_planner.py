@@ -31,7 +31,7 @@ from repro.data.corpus import supported_questions
 from repro.eval.harness import format_table
 from repro.oassis.engine import OassisEngine
 from repro.rdf.planner import QueryPlanner
-from repro.rdf.sparql import TriplePattern
+from repro.rdf.planner import TriplePattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Variable
 

@@ -2,8 +2,8 @@
 
 Not a paper experiment — throughput sanity checks for the components
 the paper outsources (Stanford Parser, RDF stack): the triple store's
-indexed lookups, the SPARQL evaluator, the NL parser, and the OASSIS-QL
-round trip.
+indexed lookups, BGP evaluation through the query planner, the NL
+parser, and the OASSIS-QL round trip.
 """
 
 import pytest
@@ -11,17 +11,18 @@ import pytest
 from repro.data.corpus import CORPUS
 from repro.nlp import parse
 from repro.oassisql import parse_oassisql, print_oassisql
-from repro.rdf.sparql import sparql_select
-from repro.rdf.terms import IRI
 from repro.rdf.ontology import KB
+from repro.rdf.planner import TriplePattern, iter_bgp
+from repro.rdf.terms import Variable
 
 FIGURE1_QUERY = next(q for q in CORPUS if q.id == "travel-01").gold_query
 
-SPARQL = (
-    "PREFIX kb: <http://repro.example/kb/> "
-    "SELECT ?x WHERE { ?x kb:instanceOf kb:Place . "
-    "?x kb:near kb:Forest_Hotel,_Buffalo,_NY }"
-)
+#: ``$x instanceOf Place . $x near Forest_Hotel,_Buffalo,_NY`` — the
+#: Figure-1 WHERE clause.
+FIGURE1_BGP = [
+    TriplePattern(Variable("x"), KB.instanceOf, KB.Place),
+    TriplePattern(Variable("x"), KB.near, KB["Forest_Hotel,_Buffalo,_NY"]),
+]
 
 
 def test_bench_store_lookup(benchmark, ontology):
@@ -37,9 +38,11 @@ def test_bench_store_lookup(benchmark, ontology):
     assert benchmark(lookups) > 0
 
 
-def test_bench_sparql_select(benchmark, ontology):
-    rows = benchmark(sparql_select, ontology.store, SPARQL)
-    assert len(rows) == 6
+def test_bench_bgp_join(benchmark, ontology):
+    def join():
+        return list(iter_bgp(ontology.store, FIGURE1_BGP))
+
+    assert len(benchmark(join)) == 6
 
 
 def test_bench_nl_parse(benchmark):

@@ -1,8 +1,8 @@
 """NL2CM: A Natural Language Interface to Crowd Mining — reproduction.
 
 Reproduction of Amsterdamer, Kukliansky and Milo, SIGMOD 2015, with all
-substrates (NL parsing, RDF/SPARQL, OASSIS-QL, the OASSIS engine and a
-simulated crowd) implemented from scratch.  Quickstart::
+substrates (NL parsing, RDF store and BGP evaluation, OASSIS-QL, the
+OASSIS engine and a simulated crowd) implemented from scratch.  Quickstart::
 
     from repro import NL2CM
 

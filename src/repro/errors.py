@@ -71,14 +71,6 @@ class FrozenStoreError(RDFError):
     """
 
 
-class SPARQLSyntaxError(RDFError):
-    """A SPARQL query string could not be parsed."""
-
-
-class SPARQLEvaluationError(RDFError):
-    """A SPARQL query failed during evaluation."""
-
-
 # ---------------------------------------------------------------------------
 # OASSIS-QL
 # ---------------------------------------------------------------------------

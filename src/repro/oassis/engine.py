@@ -42,8 +42,12 @@ from repro.oassisql.ast import (
     TopK,
 )
 from repro.rdf.ontology import Ontology
-from repro.rdf.planner import QueryPlanner, default_planner
-from repro.rdf.sparql import TriplePattern, iter_bgp
+from repro.rdf.planner import (
+    QueryPlanner,
+    TriplePattern,
+    default_planner,
+    iter_bgp,
+)
 from repro.rdf.terms import IRI, Literal, Variable
 
 __all__ = [
@@ -374,16 +378,12 @@ class OassisEngine:
             yield {}
             return
         patterns = [self._to_pattern(t) for t in query.where]
-        # Deduplicate incrementally (bindings may repeat when
-        # instanceOf facts are duplicated across merged snapshots).
-        seen = set()
+        # The store holds each triple once, so a BGP never repeats a
+        # solution.
         for sol in iter_bgp(
             self.ontology.store, patterns, planner=self.planner
         ):
-            key = tuple(sorted((k, str(v)) for k, v in sol.items()))
-            if key not in seen:
-                seen.add(key)
-                yield dict(sol)
+            yield dict(sol)
 
     @staticmethod
     def _to_pattern(triple: QueryTriple) -> TriplePattern:

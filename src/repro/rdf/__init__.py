@@ -1,4 +1,4 @@
-"""RDF substrate: data model, triple store, Turtle I/O, SPARQL subset.
+"""RDF substrate: data model, triple store, Turtle I/O, BGP evaluation.
 
 OASSIS-QL queries are evaluated against an RDF ontology (paper
 Section 2.1); this package provides the store and query machinery the
@@ -6,13 +6,15 @@ paper gets from an off-the-shelf RDF stack.
 
 Typical use::
 
-    from repro.rdf import TripleStore, parse_turtle, sparql_select
+    from repro.rdf import IRI, TriplePattern, Variable, iter_bgp
+    from repro.rdf import parse_turtle
 
     store = parse_turtle(open("geo.ttl").read())
-    rows = sparql_select(store, '''
-        SELECT ?x WHERE { ?x <http://repro.example/kb/instanceOf>
-                             <http://repro.example/kb/Place> }
-    ''')
+    kb = "http://repro.example/kb/"
+    pattern = TriplePattern(
+        Variable("x"), IRI(kb + "instanceOf"), IRI(kb + "Place")
+    )
+    rows = list(iter_bgp(store, [pattern]))
 """
 
 from repro.rdf.terms import (
@@ -26,14 +28,13 @@ from repro.rdf.terms import (
 )
 from repro.rdf.store import PredicateStats, StoreStats, TripleStore
 from repro.rdf.turtle import parse_turtle, serialize_turtle
-from repro.rdf.sparql import (
-    SelectQuery,
+from repro.rdf.planner import (
+    PlanExplain,
+    QueryPlanner,
     TriplePattern,
+    default_planner,
     iter_bgp,
-    parse_sparql,
-    sparql_select,
 )
-from repro.rdf.planner import PlanExplain, QueryPlanner, default_planner
 from repro.rdf.ontology import EntityMatch, Ontology
 
 __all__ = [
@@ -49,10 +50,7 @@ __all__ = [
     "StoreStats",
     "parse_turtle",
     "serialize_turtle",
-    "SelectQuery",
     "TriplePattern",
-    "parse_sparql",
-    "sparql_select",
     "iter_bgp",
     "QueryPlanner",
     "PlanExplain",

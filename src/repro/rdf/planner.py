@@ -1,9 +1,11 @@
-"""Cost-based BGP query planner: statistics-driven join ordering,
-shape-keyed plan caching, and compiled step execution.
+"""Basic graph pattern (BGP) evaluation: statistics-driven join
+ordering, shape-keyed plan caching, and compiled step execution.
 
-This is the only basic-graph-pattern evaluator: every
-:func:`repro.rdf.sparql.iter_bgp` call runs through a
-:class:`QueryPlanner`.  Planning is a first-class, persistent activity:
+This is the evaluator behind the OASSIS-QL ``WHERE`` clause ("a
+SPARQL-like selection query on the ontology", paper Section 2.1): a
+BGP is a list of :class:`TriplePattern`, and :func:`iter_bgp` streams
+its solution mappings through a :class:`QueryPlanner`.  Planning is a
+first-class, persistent activity:
 
 * **Cost model** — join order is chosen *once per query shape* from the
   store's incremental cardinality statistics
@@ -20,16 +22,11 @@ This is the only basic-graph-pattern evaluator: every
   The cache is a bounded LRU with hit/miss/invalidation counters;
   entries are invalidated by the store's mutation :attr:`epoch`.
 * **Compiled execution** — each plan step is compiled to a specialized
-  closure that knows which index to probe, which positions to bind,
-  and which filters to run, with no per-binding ``isinstance``
-  dispatch.  Execution is an explicit-stack generator, so solutions
-  **stream**: ``LIMIT``-style consumers stop the join early instead of
-  materializing every solution, and join depth never touches the
+  closure that knows which index to probe and which positions to bind,
+  with no per-binding ``isinstance`` dispatch.  Execution is an
+  explicit-stack generator, so solutions **stream**: a consumer that
+  stops early stops the join, and join depth never touches the
   interpreter's recursion limit.
-
-Filters are attached to the earliest step at which all their variables
-are bound; filters that mention a variable no pattern ever binds are
-never evaluated.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.rdf.sparql import FilterExpr, Solution, TriplePattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term, Variable
 
@@ -47,9 +43,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "Plan", "PlanExplain", "PlannerStats", "QueryPlanner", "StepExplain",
-    "default_planner", "query_shape",
+    "Plan", "PlanExplain", "PlannerStats", "QueryPlanner", "Solution",
+    "StepExplain", "TriplePattern", "default_planner", "iter_bgp",
+    "query_shape",
 ]
+
+#: One solution row: variable name -> bound term.
+Solution = dict[str, Term]
+
+
+@dataclass(frozen=True, slots=True)
+class TriplePattern:
+    """A triple pattern; any position may be a Variable."""
+
+    s: Term
+    p: Term
+    o: Term
+
+    def variables(self) -> set[str]:
+        return {
+            t.name for t in (self.s, self.p, self.o)
+            if isinstance(t, Variable)
+        }
+
+    def __str__(self) -> str:
+        return f"{_term_str(self.s)} {_term_str(self.p)} {_term_str(self.o)}"
+
+
+def _term_str(t: Term) -> str:
+    return t.n3() if hasattr(t, "n3") else str(t)
+
 
 #: Position states inside a compiled plan step: ``C`` constant, ``B``
 #: variable bound by an earlier step (or the initial bindings), ``N``
@@ -60,7 +83,6 @@ _CONST, _BOUND, _NEW, _DUP = "C", "B", "N", "D"
 
 def query_shape(
     patterns: Iterable[TriplePattern],
-    filters: Iterable[FilterExpr] = (),
     initial_vars: Iterable[str] = (),
 ) -> tuple:
     """The canonical shape of a BGP: the plan-cache key.
@@ -69,9 +91,8 @@ def query_shape(
     constants are abstracted to a single bound-constant stat class, and
     predicates stay concrete (the cost model is per-predicate).  Two
     queries with the same shape get the same join order, so they share
-    one cached plan.  Filters contribute only their (canonicalized)
-    variable sets — which is all that affects scheduling — and the
-    initially-bound variables contribute theirs.
+    one cached plan.  The initially-bound variables contribute their
+    canonical indexes, since they change which positions are bound.
     """
     var_ids: dict[str, int] = {}
 
@@ -92,19 +113,15 @@ def query_shape(
             else:
                 row.append(("c",))
         shaped.append(tuple(row))
-    shaped_filters = tuple(
-        tuple(sorted(vid(name) for name in sorted(f.variables())))
-        for f in filters
-    )
     shaped_initial = tuple(
         sorted(var_ids[name] for name in initial_vars if name in var_ids)
     )
-    return (tuple(shaped), shaped_filters, shaped_initial)
+    return (tuple(shaped), shaped_initial)
 
 
 @dataclass(frozen=True)
 class Plan:
-    """A shape-level plan: join order, position states, filter points.
+    """A shape-level plan: join order, position states, estimates.
 
     The plan never references concrete constants or variable names —
     those come from the actual patterns at bind time — which is what
@@ -114,8 +131,6 @@ class Plan:
     shape: tuple
     order: tuple[int, ...]
     states: tuple[str, ...]
-    step_filters: tuple[tuple[int, ...], ...]
-    pre_filters: tuple[int, ...]
     estimates: tuple[float, ...]
 
 
@@ -228,7 +243,6 @@ def _position_states(pat: TriplePattern, bound: set[str]) -> str:
 def _build_plan(
     store: TripleStore,
     patterns: list[TriplePattern],
-    filters: list[FilterExpr],
     initial_vars: frozenset[str],
     shape: tuple,
 ) -> Plan:
@@ -250,32 +264,10 @@ def _build_plan(
         states.append(_position_states(patterns[best_i], bound))
         bound |= patterns[best_i].variables()
 
-    # Filter attachment: the earliest step after which every variable
-    # of the filter is bound.  Index -1 means "before the first step"
-    # (constant filters, or filters over initially-bound variables);
-    # filters whose variables are never all bound are dropped.
-    bound_after: list[set[str]] = []
-    acc = set(initial_vars)
-    for i in order:
-        acc = acc | patterns[i].variables()
-        bound_after.append(set(acc))
-    pre: list[int] = []
-    per_step: list[list[int]] = [[] for _ in order]
-    for f_idx, f in enumerate(filters):
-        f_vars = f.variables()
-        if f_vars <= initial_vars:
-            pre.append(f_idx)
-            continue
-        for step, have in enumerate(bound_after):
-            if f_vars <= have:
-                per_step[step].append(f_idx)
-                break
     return Plan(
         shape=shape,
         order=tuple(order),
         states=tuple(states),
-        step_filters=tuple(tuple(fs) for fs in per_step),
-        pre_filters=tuple(pre),
         estimates=tuple(estimates),
     )
 
@@ -292,7 +284,6 @@ def _compile_step(
     store: TripleStore,
     pattern: TriplePattern,
     states: str,
-    filters: tuple[FilterExpr, ...],
 ) -> StepFn:
     """Compile one plan step against concrete pattern terms.
 
@@ -311,12 +302,6 @@ def _compile_step(
         if state == _CONST:
             return term, None
         return None, term.name  # _BOUND
-
-    def check(solution: Solution) -> bool:
-        for f in filters:
-            if not f.evaluate(solution):
-                return False
-        return True
 
     knowns = (
         s_st in (_CONST, _BOUND),
@@ -339,8 +324,7 @@ def _compile_step(
                     ):
                         new = dict(solution)
                         new[o_name] = o
-                        if check(new):
-                            yield new
+                        yield new
 
             return step
         if knowns == (False, True, True):
@@ -358,8 +342,7 @@ def _compile_step(
                     ):
                         new = dict(solution)
                         new[s_name] = s
-                        if check(new):
-                            yield new
+                        yield new
 
             return step
         if knowns == (True, False, True):
@@ -377,8 +360,7 @@ def _compile_step(
                     ):
                         new = dict(solution)
                         new[p_name] = p
-                        if check(new):
-                            yield new
+                        yield new
 
             return step
         if knowns == (True, True, True):
@@ -393,7 +375,7 @@ def _compile_step(
                 if row is not None:
                     o = o_c if o_c is not None else solution[o_n]
                     p = p_c if p_c is not None else solution[p_n]
-                    if o in row.get(p, ()) and check(solution):
+                    if o in row.get(p, ()):
                         yield solution
 
             return step
@@ -411,8 +393,7 @@ def _compile_step(
                             new = dict(solution)
                             new[s_name] = s
                             new[o_name] = o
-                            if check(new):
-                                yield new
+                            yield new
 
             return step
         if knowns == (True, False, False):
@@ -429,8 +410,7 @@ def _compile_step(
                             new = dict(solution)
                             new[p_name] = p
                             new[o_name] = o
-                            if check(new):
-                                yield new
+                            yield new
 
             return step
         if knowns == (False, False, True):
@@ -447,8 +427,7 @@ def _compile_step(
                             new = dict(solution)
                             new[s_name] = s
                             new[p_name] = p
-                            if check(new):
-                                yield new
+                            yield new
 
             return step
 
@@ -471,7 +450,7 @@ def _compile_step(
                         ok = False
                         break
                     new[term.name] = value
-            if ok and check(new):
+            if ok:
                 yield new
 
     return step
@@ -498,20 +477,15 @@ def _execute(steps: list[StepFn], solution: Solution
 
 @dataclass
 class BoundPlan:
-    """A cached plan bound to one query's concrete patterns/filters."""
+    """A cached plan bound to one query's concrete patterns."""
 
     plan: Plan
     steps: list[StepFn]
-    pre_filters: list[FilterExpr]
     cache_outcome: str
 
     def solutions(self, initial: Solution | None = None
                   ) -> Iterator[Solution]:
-        solution = dict(initial or {})
-        for f in self.pre_filters:
-            if not f.evaluate(solution):
-                return
-        yield from _execute(self.steps, solution)
+        return _execute(self.steps, dict(initial or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +570,12 @@ class QueryPlanner:
         self,
         store: TripleStore,
         patterns: Iterable[TriplePattern],
-        filters: Iterable[FilterExpr] = (),
         initial_vars: Iterable[str] = (),
     ) -> BoundPlan:
         """The compiled plan for a BGP, from cache when shape-fresh."""
         patterns = list(patterns)
-        filters = list(filters)
         initial_vars = frozenset(initial_vars)
-        shape = query_shape(patterns, filters, initial_vars)
+        shape = query_shape(patterns, initial_vars)
         key = (store.token, shape)
         epoch = store.epoch
         plan: Plan | None = None
@@ -624,9 +596,7 @@ class QueryPlanner:
                 self.misses += 1
                 outcome = "miss"
         if plan is None:
-            plan = _build_plan(
-                store, patterns, filters, initial_vars, shape
-            )
+            plan = _build_plan(store, patterns, initial_vars, shape)
             with self._lock:
                 self.compiled += 1
                 self._cache[key] = (epoch, plan)
@@ -634,34 +604,19 @@ class QueryPlanner:
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
         steps = [
-            _compile_step(
-                store,
-                patterns[plan.order[n]],
-                plan.states[n],
-                tuple(filters[fi] for fi in plan.step_filters[n]),
-            )
-            for n in range(len(plan.order))
+            _compile_step(store, patterns[i], states)
+            for i, states in zip(plan.order, plan.states)
         ]
-        return BoundPlan(
-            plan=plan,
-            steps=steps,
-            pre_filters=[filters[fi] for fi in plan.pre_filters],
-            cache_outcome=outcome,
-        )
+        return BoundPlan(plan=plan, steps=steps, cache_outcome=outcome)
 
     def solutions(
         self,
         store: TripleStore,
         patterns: Iterable[TriplePattern],
-        filters: Iterable[FilterExpr] = (),
         initial: Solution | None = None,
     ) -> Iterator[Solution]:
         """Plan (cached) and stream the BGP's solution mappings."""
-        bound = self.plan(
-            store, patterns, filters,
-            initial_vars=frozenset(initial or ()),
-        )
-        return bound.solutions(initial)
+        return self.plan(store, patterns, initial or ()).solutions(initial)
 
     # -- explain -----------------------------------------------------------------
 
@@ -669,7 +624,6 @@ class QueryPlanner:
         self,
         store: TripleStore,
         patterns: Iterable[TriplePattern],
-        filters: Iterable[FilterExpr] = (),
         initial: Solution | None = None,
     ) -> PlanExplain:
         """Run the plan with per-step instrumentation.
@@ -679,11 +633,7 @@ class QueryPlanner:
         this request hit the plan cache.
         """
         patterns = list(patterns)
-        filters = list(filters)
-        bound = self.plan(
-            store, patterns, filters,
-            initial_vars=frozenset(initial or ()),
-        )
+        bound = self.plan(store, patterns, initial or ())
         plan = bound.plan
         step_stats = [
             StepExplain(
@@ -723,3 +673,17 @@ _DEFAULT_PLANNER = QueryPlanner()
 def default_planner() -> QueryPlanner:
     """The process-wide shared planner (used when none is given)."""
     return _DEFAULT_PLANNER
+
+
+def iter_bgp(
+    store: TripleStore,
+    patterns: Iterable[TriplePattern],
+    initial: Solution | None = None,
+    planner: QueryPlanner | None = None,
+) -> Iterator[Solution]:
+    """Stream the solution mappings of a basic graph pattern.
+
+    Evaluation runs through ``planner`` (and its plan cache), or the
+    process-wide :func:`default_planner` when ``None``.
+    """
+    return (planner or _DEFAULT_PLANNER).solutions(store, patterns, initial)

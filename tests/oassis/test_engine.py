@@ -251,3 +251,26 @@ class TestPlannerModes:
         snap = planner.snapshot()
         assert snap.misses == 1
         assert snap.hits == 1
+
+
+class TestWhereBindings:
+    def test_distinct_terms_with_equal_text_stay_apart(self):
+        # An IRI and a string literal with the same text, and an int
+        # literal next to its string form, are four distinct objects:
+        # each must surface as its own WHERE binding.
+        from repro.rdf.ontology import Ontology
+        from repro.rdf.store import TripleStore
+        from repro.rdf.terms import IRI, Literal
+
+        store = TripleStore()
+        for obj in (KB.v, Literal(str(KB.v)), Literal(1), Literal("1")):
+            store.add(KB.a, KB.p, obj)
+        engine = OassisEngine(
+            Ontology(store), SimulatedCrowd(GroundTruth(), size=5, seed=0)
+        )
+        query = parse_oassisql("SELECT VARIABLES\nWHERE\n{a p $y}")
+        result = engine.evaluate(query)
+        assert result.where_bindings == 4
+        assert {o.binding["y"] for o in result.outcomes} == {
+            IRI(str(KB.v)), Literal(str(KB.v)), Literal(1), Literal("1"),
+        }

@@ -1,19 +1,15 @@
 """Naive reference evaluator: the differential oracle for BGP tests.
 
-Does the dumbest possible thing — enumerate every triple per pattern,
-nested-loop join in the given order, filter at the end — so it shares
-no code or cleverness with :class:`repro.rdf.planner.QueryPlanner`.
+Does the dumbest possible thing — enumerate every triple per pattern
+and nested-loop join in the given order — so it shares no code or
+cleverness with :class:`repro.rdf.planner.QueryPlanner`.
 """
 
 from repro.rdf.terms import Variable
 
 
-def reference_bgp(store, bgp, filters=(), initial=None):
-    """All solutions of ``bgp`` over ``store``: no ordering, no push-down.
-
-    A filter applies only to solutions that bind every variable it
-    mentions; a filter over a variable no pattern binds is ignored.
-    """
+def reference_bgp(store, bgp, initial=None):
+    """All solutions of ``bgp`` over ``store``, extending ``initial``."""
     solutions = [dict(initial or {})]
     for pattern in bgp:
         next_solutions = []
@@ -34,17 +30,16 @@ def reference_bgp(store, bgp, filters=(), initial=None):
                 if ok:
                     next_solutions.append(candidate)
         solutions = next_solutions
-    return [
-        sol for sol in solutions
-        if all(
-            f.evaluate(sol) for f in filters if f.variables() <= sol.keys()
-        )
-    ]
+    return solutions
 
 
 def canon(solutions):
-    """A solution list as a sorted, order-free multiset."""
+    """A solution list as a sorted, order-free multiset.
+
+    Terms render through ``repr`` so an IRI and a literal with the same
+    text (or ``1`` and ``"1"``) stay distinct.
+    """
     return sorted(
-        tuple(sorted((k, str(v)) for k, v in s.items()))
+        tuple(sorted((k, repr(v)) for k, v in s.items()))
         for s in solutions
     )

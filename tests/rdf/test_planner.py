@@ -1,16 +1,20 @@
 """Tests for the cost-based query planner and its plan cache."""
 
+import sys
+
 import pytest
 
 from repro.rdf.planner import (
     PlanExplain,
     QueryPlanner,
+    TriplePattern,
     default_planner,
+    iter_bgp,
     query_shape,
 )
-from repro.rdf.sparql import FilterExpr, TriplePattern, iter_bgp
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.turtle import parse_turtle
 from tests.rdf.reference import canon, reference_bgp
 
 
@@ -78,13 +82,15 @@ class TestQueryShape:
         assert joined != cartesian
 
     def test_filters_and_initial_bindings_contribute(self):
+        # The shape key is (patterns, initial): initially-bound
+        # variables are the only non-pattern part of it.
         bgp = [TriplePattern(Variable("x"), NEAR, Variable("y"))]
-        flt = FilterExpr("cmp", (
-            "=", FilterExpr("var", ("x",)),
-            FilterExpr("term", (iri("a"),)),
-        ))
-        assert query_shape(bgp) != query_shape(bgp, filters=[flt])
         assert query_shape(bgp) != query_shape(bgp, initial_vars=["x"])
+        assert query_shape(bgp, initial_vars=["x"]) != query_shape(
+            bgp, initial_vars=["y"]
+        )
+        # Initial bindings no pattern mentions do not change the shape.
+        assert query_shape(bgp) == query_shape(bgp, initial_vars=["z"])
 
 
 class TestPlanCache:
@@ -184,29 +190,6 @@ class TestPlanQuality:
         assert BGP[first].variables() == {"x"}
         assert all(est >= 1.0 for est in bound.plan.estimates[:1])
 
-    def test_filters_attach_at_first_full_binding(self, store):
-        planner = QueryPlanner()
-        flt = FilterExpr("cmp", (
-            "!=", FilterExpr("var", ("l",)),
-            FilterExpr("term", (Literal("Place 0"),)),
-        ))
-        results = list(planner.solutions(store, BGP, filters=[flt]))
-        expected = reference_bgp(store, BGP, filters=[flt])
-        assert canon(results) == canon(expected)
-        assert all(s["l"] != Literal("Place 0") for s in results)
-
-    def test_never_bindable_filter_is_dropped(self, store):
-        # A filter over a variable no pattern binds is silently
-        # ignored, not an error.
-        flt = FilterExpr("cmp", (
-            "=", FilterExpr("var", ("ghost",)),
-            FilterExpr("term", (iri("a"),)),
-        ))
-        planner = QueryPlanner()
-        fast = list(planner.solutions(store, BGP, filters=[flt]))
-        slow = reference_bgp(store, BGP, filters=[flt])
-        assert canon(fast) == canon(slow)
-
     def test_initial_bindings(self, store):
         planner = QueryPlanner()
         initial = {"x": iri("place3")}
@@ -232,6 +215,82 @@ class TestPlanQuality:
     def test_empty_bgp_yields_initial_solution(self, store):
         planner = QueryPlanner()
         assert list(planner.solutions(store, [])) == [{}]
+
+
+BUFFALO = """
+@prefix kb: <http://repro.example/kb/> .
+
+kb:Delaware_Park kb:instanceOf kb:Place ; kb:near kb:Forest_Hotel .
+kb:Buffalo_Zoo kb:instanceOf kb:Place ; kb:near kb:Forest_Hotel .
+kb:Albright_Knox kb:instanceOf kb:Museum ; kb:near kb:Forest_Hotel .
+kb:Niagara_Falls kb:instanceOf kb:Place .
+"""
+
+
+def kb(name):
+    return IRI("http://repro.example/kb/" + name)
+
+
+class TestBgpSemantics:
+    """What a WHERE clause means, evaluated through :func:`iter_bgp`."""
+
+    @pytest.fixture(scope="class")
+    def buffalo(self):
+        return parse_turtle(BUFFALO)
+
+    def test_single_pattern(self, buffalo):
+        bgp = [TriplePattern(Variable("x"), kb("instanceOf"), kb("Place"))]
+        assert {r["x"] for r in iter_bgp(buffalo, bgp)} == {
+            kb("Delaware_Park"), kb("Buffalo_Zoo"), kb("Niagara_Falls")
+        }
+
+    def test_join_two_patterns(self, buffalo):
+        rows = list(iter_bgp(buffalo, [
+            TriplePattern(Variable("x"), kb("instanceOf"), kb("Place")),
+            TriplePattern(Variable("x"), kb("near"), kb("Forest_Hotel")),
+        ]))
+        assert {r["x"] for r in rows} == {
+            kb("Delaware_Park"), kb("Buffalo_Zoo")
+        }
+
+    def test_no_match_returns_empty(self, buffalo):
+        bgp = [
+            TriplePattern(Variable("x"), kb("instanceOf"), kb("Restaurant"))
+        ]
+        assert list(iter_bgp(buffalo, bgp)) == []
+
+    def test_variable_predicate(self, buffalo):
+        bgp = [
+            TriplePattern(kb("Delaware_Park"), Variable("p"), kb("Place"))
+        ]
+        assert list(iter_bgp(buffalo, bgp)) == [{"p": kb("instanceOf")}]
+
+    def test_shared_variable_same_binding(self, buffalo):
+        bgp = [TriplePattern(Variable("x"), kb("near"), Variable("x"))]
+        assert list(iter_bgp(buffalo, bgp)) == []
+
+    def test_hundred_pattern_chain_needs_no_recursion(self):
+        # The explicit stack must evaluate a 100-pattern chain even
+        # under a recursion limit a recursive join would blow through.
+        n = 100
+        nxt = IRI("http://x/next")
+        chain_store = TripleStore()
+        for i in range(n + 1):
+            chain_store.add(
+                IRI(f"http://x/n{i}"), nxt, IRI(f"http://x/n{i+1}")
+            )
+        chain = [
+            TriplePattern(Variable(f"v{i}"), nxt, Variable(f"v{i+1}"))
+            for i in range(n)
+        ]
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(90)
+            solutions = list(iter_bgp(chain_store, chain))
+            assert len(solutions) == 2
+            assert all(len(s) == n + 1 for s in solutions)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestIterBgpDispatch:

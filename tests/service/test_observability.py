@@ -225,7 +225,7 @@ class TestStatsIsARegistryView:
     ):
         """stats() reads the registry, never the cache or planner; the
         mirrored series must agree with their own counters."""
-        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.planner import TriplePattern
         from repro.rdf.terms import IRI, Variable
 
         nl2cm = NL2CM(ontology=ontology)
@@ -260,7 +260,7 @@ class TestStatsIsARegistryView:
 
     @staticmethod
     def _place_lookups(nl2cm, ontology, n):
-        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.planner import TriplePattern
         from repro.rdf.terms import IRI, Variable
 
         bgp = [TriplePattern(

@@ -281,7 +281,7 @@ class TestUnexpectedExceptionAudit:
 
 class TestPlannerStats:
     def test_plan_cache_counters_surface_in_stats(self, ontology):
-        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.planner import TriplePattern
         from repro.rdf.terms import Variable
 
         nl2cm = NL2CM(ontology=ontology)
@@ -302,7 +302,7 @@ class TestPlannerStats:
         assert cache.value(result="hit") == 1
 
     def test_admin_panel_shows_plan_line(self, ontology):
-        from repro.rdf.sparql import TriplePattern
+        from repro.rdf.planner import TriplePattern
         from repro.rdf.terms import Variable
         from repro.ui.admin import render_service_stats
 
