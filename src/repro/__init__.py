@@ -24,124 +24,85 @@ Executing the translated query against a simulated crowd::
     answers = engine.evaluate(result.query)
     for binding in answers.bindings():
         print(binding["x"].local_name)
+
+Every name below is exported lazily (PEP 562): ``import repro`` loads
+nothing else, and ``repro.X`` imports only the module that defines
+``X``.  A translating process therefore never pays for the crowd, the
+OASSIS engine, the evaluation harness or the HTTP tier.  A new
+top-level export goes into ``_LOCATIONS``; ``__all__`` is built from it.
 """
 
-from repro.analysis import (
-    AnalysisReport,
-    Diagnostic,
-    OntologyLint,
-    PatternLint,
-    QueryLint,
-    ScenarioLint,
-    Severity,
-)
-from repro.core.pipeline import NL2CM, TranslationResult
-from repro.core.verification import VerificationResult
-from repro.crowd.model import GroundTruth
-from repro.crowd.simulator import SimulatedCrowd
-from repro.data.scenario import (
-    ScenarioPack,
-    default_pack,
-    load_builtin_packs,
-    load_pack,
-)
-from repro.eval.accuracy import AccuracyReport, evaluate_accuracy
-from repro.errors import (
-    KBLintError,
-    QueryLintError,
-    ReproError,
-    ScenarioPackError,
-    TranslationError,
-    VerificationError,
-)
-from repro.oassis.engine import EngineConfig, OassisEngine, QueryResult
-from repro.oassisql import OassisQuery, parse_oassisql, print_oassisql
-from repro.obs import MetricsRegistry, SlowQueryLog
-from repro.rdf.planner import QueryPlanner
-from repro.resilience import (
-    ChaosCrowd,
-    CircuitBreaker,
-    Deadline,
-    FaultPlan,
-    FlakyInteraction,
-    ResilienceConfig,
-    ResilientCrowd,
-    ResilientInteraction,
-    RetryPolicy,
-)
-from repro.service import (
-    ServiceStats,
-    TranslationCache,
-    TranslationService,
-)
-from repro.serving import (
-    HashRing,
-    HTTPFrontend,
-    ServingStats,
-    ShardManager,
-    WorkerSpec,
-)
-from repro.ui.interaction import (
-    AutoInteraction,
-    ConsoleInteraction,
-    ScriptedInteraction,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "NL2CM",
-    "TranslationResult",
-    "VerificationResult",
-    "OassisQuery",
-    "parse_oassisql",
-    "print_oassisql",
-    "OassisEngine",
-    "EngineConfig",
-    "QueryResult",
-    "SimulatedCrowd",
-    "GroundTruth",
-    "TranslationService",
-    "TranslationCache",
-    "ServiceStats",
-    "ShardManager",
-    "HTTPFrontend",
-    "HashRing",
-    "WorkerSpec",
-    "ServingStats",
-    "MetricsRegistry",
-    "SlowQueryLog",
-    "QueryPlanner",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "Deadline",
-    "FaultPlan",
-    "FlakyInteraction",
-    "ChaosCrowd",
-    "ResilientInteraction",
-    "ResilientCrowd",
-    "AutoInteraction",
-    "ScriptedInteraction",
-    "ConsoleInteraction",
-    "AnalysisReport",
-    "Diagnostic",
-    "Severity",
-    "QueryLint",
-    "PatternLint",
-    "OntologyLint",
-    "ScenarioLint",
-    "ScenarioPack",
-    "default_pack",
-    "load_pack",
-    "load_builtin_packs",
-    "AccuracyReport",
-    "evaluate_accuracy",
-    "ReproError",
-    "TranslationError",
-    "VerificationError",
-    "QueryLintError",
-    "KBLintError",
-    "ScenarioPackError",
-    "__version__",
-]
+_LOCATIONS = {
+    "NL2CM": "repro.core.pipeline",
+    "TranslationResult": "repro.core.pipeline",
+    "VerificationResult": "repro.core.verification",
+    "OassisQuery": "repro.oassisql",
+    "parse_oassisql": "repro.oassisql",
+    "print_oassisql": "repro.oassisql",
+    "OassisEngine": "repro.oassis.engine",
+    "EngineConfig": "repro.oassis.engine",
+    "QueryResult": "repro.oassis.engine",
+    "SimulatedCrowd": "repro.crowd.simulator",
+    "GroundTruth": "repro.crowd.model",
+    "TranslationService": "repro.service",
+    "TranslationCache": "repro.service",
+    "ServiceStats": "repro.service",
+    "ShardManager": "repro.serving",
+    "HTTPFrontend": "repro.serving",
+    "HashRing": "repro.serving",
+    "WorkerSpec": "repro.serving",
+    "ServingStats": "repro.serving",
+    "MetricsRegistry": "repro.obs",
+    "SlowQueryLog": "repro.obs",
+    "QueryPlanner": "repro.rdf.planner",
+    "ResilienceConfig": "repro.resilience",
+    "RetryPolicy": "repro.resilience",
+    "CircuitBreaker": "repro.resilience",
+    "Deadline": "repro.resilience",
+    "FaultPlan": "repro.resilience",
+    "FlakyInteraction": "repro.resilience",
+    "ChaosCrowd": "repro.resilience",
+    "ResilientInteraction": "repro.resilience",
+    "ResilientCrowd": "repro.resilience",
+    "AutoInteraction": "repro.ui.interaction",
+    "ScriptedInteraction": "repro.ui.interaction",
+    "ConsoleInteraction": "repro.ui.interaction",
+    "AnalysisReport": "repro.analysis",
+    "Diagnostic": "repro.analysis",
+    "Severity": "repro.analysis",
+    "QueryLint": "repro.analysis",
+    "PatternLint": "repro.analysis",
+    "OntologyLint": "repro.analysis",
+    "ScenarioLint": "repro.analysis",
+    "ScenarioPack": "repro.data.scenario",
+    "default_pack": "repro.data.scenario",
+    "load_pack": "repro.data.scenario",
+    "load_builtin_packs": "repro.data.scenario",
+    "AccuracyReport": "repro.eval.accuracy",
+    "evaluate_accuracy": "repro.eval.accuracy",
+    "ReproError": "repro.errors",
+    "TranslationError": "repro.errors",
+    "VerificationError": "repro.errors",
+    "QueryLintError": "repro.errors",
+    "KBLintError": "repro.errors",
+    "ScenarioPackError": "repro.errors",
+}
+
+__all__ = [*_LOCATIONS, "__version__"]
+
+
+def __getattr__(name: str):
+    module_name = _LOCATIONS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

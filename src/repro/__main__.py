@@ -96,26 +96,18 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro import (
-    EngineConfig,
-    NL2CM,
-    OassisEngine,
-    SimulatedCrowd,
-    VerificationError,
-)
-from repro.crowd.model import GroundTruth
-from repro.crowd.scenarios import (
-    buffalo_travel_truth,
-    dietician_truth,
-    vegas_rides_truth,
-)
+from repro import NL2CM, VerificationError
 from repro.data.ontologies import load_merged_ontology
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry, SlowQueryLog
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.service import TranslationService
 from repro.ui.interaction import ConsoleInteraction
+
+if TYPE_CHECKING:
+    from repro.oassis.engine import OassisEngine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,6 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 def demo_engine(nl2cm: NL2CM, size: int, seed: int,
                 registry: MetricsRegistry | None = None) -> OassisEngine:
     """The demo crowd over ``nl2cm``'s ontology and query planner."""
+    from repro.crowd.model import GroundTruth
+    from repro.crowd.scenarios import (
+        buffalo_travel_truth,
+        dietician_truth,
+        vegas_rides_truth,
+    )
+    from repro.crowd.simulator import SimulatedCrowd
+    from repro.oassis.engine import EngineConfig, OassisEngine
+
     truth = GroundTruth(default=0.05)
     for scenario in (buffalo_travel_truth(), vegas_rides_truth(),
                      dietician_truth()):

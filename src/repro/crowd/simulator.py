@@ -24,8 +24,6 @@ import struct
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.crowd.model import FactSet, GroundTruth
 
 __all__ = ["CrowdMember", "SimulatedCrowd"]
@@ -37,6 +35,8 @@ def _unit_gaussian(*key_parts: object) -> float:
     Hash-based so that (member, fact-set) pairs can be sampled lazily in
     any order and still reproduce.
     """
+    import numpy as np  # loaded on the first draw, not at package import
+
     digest = hashlib.sha256(
         "\x1f".join(str(p) for p in key_parts).encode("utf-8")
     ).digest()
@@ -131,6 +131,8 @@ class SimulatedCrowd:
 
     def population_support(self, fact_set: FactSet) -> float:
         """The full-population mean answer (the estimable quantity)."""
+        import numpy as np
+
         truth = self.ground_truth.support(fact_set)
         values = [
             m.personal_value(fact_set, truth, self.noise, self.seed)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import networkx as nx
-
 from repro.errors import ParsingError
 
 __all__ = ["DepNode", "DepEdge", "DepGraph", "DEPENDENCY_LABELS"]
@@ -263,19 +261,6 @@ class DepGraph:
             (n for n in nodes if not n.is_root), key=lambda n: n.index
         )
         return " ".join(n.text for n in ordered)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a ``networkx.DiGraph`` (node key = token index)."""
-        graph = nx.DiGraph(sentence=self.sentence)
-        for node in self.nodes(include_root=True):
-            graph.add_node(
-                node.index, text=node.text, lemma=node.lemma, tag=node.tag
-            )
-        for edge in self._edges:
-            graph.add_edge(
-                edge.head.index, edge.dependent.index, label=edge.label
-            )
-        return graph
 
     def __iter__(self) -> Iterator[DepNode]:
         return iter(self.nodes())

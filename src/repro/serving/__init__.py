@@ -29,33 +29,43 @@ The pieces, bottom-up:
 
 See ``docs/serving.md`` for the architecture tour and the operational
 contract (shedding, deadlines, restart semantics, the stats identity).
+
+Exports are lazy (PEP 562), so a spawned worker that imports
+:mod:`repro.serving.worker` loads ``config``, ``frames`` and ``worker``
+only, never the HTTP front end or the shard manager.
 """
 
-from repro.serving.config import WorkerSpec
-from repro.serving.frames import (
-    MAX_FRAME_BYTES,
-    FrameChannel,
-    decode_frame,
-    encode_frame,
-)
-from repro.serving.frontend import HTTPFrontend
-from repro.serving.hashring import HashRing
-from repro.serving.shards import RemoteOutcome, ShardManager
-from repro.serving.stats import ServingStats, ShardSnapshot
-from repro.serving.worker import serve_worker, worker_main
+from importlib import import_module
 
-__all__ = [
-    "FrameChannel",
-    "HTTPFrontend",
-    "HashRing",
-    "MAX_FRAME_BYTES",
-    "RemoteOutcome",
-    "ServingStats",
-    "ShardManager",
-    "ShardSnapshot",
-    "WorkerSpec",
-    "decode_frame",
-    "encode_frame",
-    "serve_worker",
-    "worker_main",
-]
+_LOCATIONS = {
+    "FrameChannel": "repro.serving.frames",
+    "HTTPFrontend": "repro.serving.frontend",
+    "HashRing": "repro.serving.hashring",
+    "MAX_FRAME_BYTES": "repro.serving.frames",
+    "RemoteOutcome": "repro.serving.shards",
+    "ServingStats": "repro.serving.stats",
+    "ShardManager": "repro.serving.shards",
+    "ShardSnapshot": "repro.serving.stats",
+    "WorkerSpec": "repro.serving.config",
+    "decode_frame": "repro.serving.frames",
+    "encode_frame": "repro.serving.frames",
+    "serve_worker": "repro.serving.worker",
+    "worker_main": "repro.serving.worker",
+}
+
+__all__ = list(_LOCATIONS)
+
+
+def __getattr__(name: str):
+    module_name = _LOCATIONS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module 'repro.serving' has no attribute {name!r}"
+        )
+    value = getattr(import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -116,12 +116,6 @@ class TestExportAndRendering:
         g, we, visit, parks = small_graph
         assert g.text_span([parks, we]) == "we parks"
 
-    def test_to_networkx(self, small_graph):
-        g, we, visit, parks = small_graph
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 4  # includes ROOT
-        assert nxg.edges[1, 0]["label"] == "nsubj"
-
     def test_pretty_contains_all_edges(self, small_graph):
         g, *_ = small_graph
         rendered = g.pretty()

@@ -1,6 +1,11 @@
 """Tests for the top-level public API surface."""
 
+import re
+
+import pytest
+
 import repro
+import repro.serving
 
 
 class TestPublicApi:
@@ -34,3 +39,24 @@ class TestPublicApi:
         answers = engine.evaluate(result.query)
         assert answers.bindings()
         assert all("x" in b for b in answers.bindings())
+
+
+@pytest.mark.parametrize("module", [repro, repro.serving],
+                         ids=lambda m: m.__name__)
+class TestLazyExports:
+    def test_star_import_binds_exactly_all(self, module):
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == set(module.__all__)
+
+    def test_dir_lists_every_export(self, module):
+        assert set(dir(module)) >= set(module.__all__)
+
+    def test_lazy_table_matches_all(self, module):
+        assert set(module._LOCATIONS) == set(module.__all__) - {"__version__"}
+
+    def test_unknown_name_names_the_module(self, module):
+        expected = re.escape(f"module '{module.__name__}' has no attribute")
+        with pytest.raises(AttributeError, match=expected):
+            module.no_such_export
