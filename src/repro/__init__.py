@@ -60,14 +60,11 @@ _LOCATIONS = {
     "SlowQueryLog": "repro.obs",
     "QueryPlanner": "repro.rdf.planner",
     "ResilienceConfig": "repro.resilience",
-    "RetryPolicy": "repro.resilience",
     "CircuitBreaker": "repro.resilience",
     "Deadline": "repro.resilience",
     "FaultPlan": "repro.resilience",
     "FlakyInteraction": "repro.resilience",
-    "ChaosCrowd": "repro.resilience",
     "ResilientInteraction": "repro.resilience",
-    "ResilientCrowd": "repro.resilience",
     "AutoInteraction": "repro.ui.interaction",
     "ScriptedInteraction": "repro.ui.interaction",
     "ConsoleInteraction": "repro.ui.interaction",

@@ -110,6 +110,18 @@ if TYPE_CHECKING:
     from repro.oassis.engine import OassisEngine
 
 
+def _non_negative(kind):
+    """An argparse ``type`` parsing with ``kind`` and refusing values < 0."""
+    def parse(text: str):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -209,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log translations slower than MS "
                              "milliseconds; span trees are dumped to "
                              "stderr on exit")
-    parser.add_argument("--retries", type=int, default=None,
+    parser.add_argument("--retries", type=_non_negative(int), default=None,
                         metavar="N",
                         help="enable the resilience layer: retry "
                              "failing interactions N times, then "
                              "degrade to defaults")
-    parser.add_argument("--stage-timeout-ms", type=float, default=None,
-                        metavar="MS",
+    parser.add_argument("--stage-timeout-ms", type=_non_negative(float),
+                        default=None, metavar="MS",
                         help="per-stage pipeline deadline; a stage "
                              "that overruns fails the translation "
                              "with DeadlineExceeded")
@@ -570,20 +582,15 @@ def main(argv: list[str] | None = None) -> int:
         SlowQueryLog(threshold_ms=args.slow_log)
         if args.slow_log is not None else None
     )
-    resilience = None
-    if args.retries is not None or args.inject_faults is not None:
-        resilience = ResilienceConfig(
-            retries=args.retries if args.retries is not None else 3,
-            seed=args.seed,
-            faults=args.inject_faults,
-        )
     service = TranslationService(
         nl2cm,
         workers=max(1, args.workers),
         cache=args.cache_size if args.cache_size > 0 else None,
         registry=registry,
         slow_log=slow_log,
-        resilience=resilience,
+        resilience=ResilienceConfig.from_flags(
+            args.retries, args.seed, args.inject_faults
+        ),
     )
     engine = (
         demo_engine(nl2cm, args.crowd_size, args.seed,

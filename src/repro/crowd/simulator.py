@@ -28,6 +28,18 @@ from repro.crowd.model import FactSet, GroundTruth
 
 __all__ = ["CrowdMember", "SimulatedCrowd"]
 
+#: numpy, bound at the first draw rather than at import: a process that
+#: only translates never loads it, and a drawing one imports it once.
+_np = None
+
+
+def _numpy():
+    global _np
+    import numpy
+
+    _np = numpy
+    return numpy
+
 
 def _unit_gaussian(*key_parts: object) -> float:
     """A deterministic standard-normal draw keyed by ``key_parts``.
@@ -35,8 +47,7 @@ def _unit_gaussian(*key_parts: object) -> float:
     Hash-based so that (member, fact-set) pairs can be sampled lazily in
     any order and still reproduce.
     """
-    import numpy as np  # loaded on the first draw, not at package import
-
+    np = _np or _numpy()
     digest = hashlib.sha256(
         "\x1f".join(str(p) for p in key_parts).encode("utf-8")
     ).digest()
@@ -97,10 +108,10 @@ class SimulatedCrowd:
             )
             for i in range(size)
         ]
-        # Wrappers (ResilientCrowd, ChaosCrowd) and concurrent engine
-        # evaluations may ask from several threads; `+= 1` on a plain
-        # int drops increments under contention, so the counter is
-        # guarded.  Answers themselves are pure hashes and need none.
+        # Concurrent engine evaluations may ask from several threads;
+        # `+= 1` on a plain int drops increments under contention, so
+        # the counter is guarded.  Answers themselves are pure hashes
+        # and need none.
         self._count_lock = threading.Lock()
         self.questions_asked = 0
 
@@ -131,8 +142,7 @@ class SimulatedCrowd:
 
     def population_support(self, fact_set: FactSet) -> float:
         """The full-population mean answer (the estimable quantity)."""
-        import numpy as np
-
+        np = _np or _numpy()
         truth = self.ground_truth.support(fact_set)
         values = [
             m.personal_value(fact_set, truth, self.noise, self.seed)

@@ -211,11 +211,7 @@ class ScenarioPackError(ReproError):
 # Resilience and fault injection
 # ---------------------------------------------------------------------------
 
-class ResilienceError(ReproError):
-    """Base class for fault-tolerance errors (retries, deadlines, breakers)."""
-
-
-class DeadlineExceeded(ResilienceError):
+class DeadlineExceeded(ReproError):
     """A pipeline stage (or a whole operation) blew its time budget."""
 
     def __init__(
@@ -230,19 +226,6 @@ class DeadlineExceeded(ResilienceError):
         self.elapsed = elapsed
         self.budget = budget
         super().__init__(message)
-
-
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker is open: the guarded dependency is not called."""
-
-
-class ProviderFailure(ResilienceError):
-    """A dependency kept failing after every retry (no fallback applied).
-
-    Wraps the last underlying exception (``__cause__``) so a
-    non-:class:`ReproError` failure still surfaces as a typed error at
-    the API boundary.
-    """
 
 
 class InjectedFault(ReproError):

@@ -1,27 +1,29 @@
 """Fault tolerance for the serving layer (``repro.resilience``).
 
-NL2CM's pipeline depends on two unreliable parties — the interaction
-provider (a human answering clarification prompts, paper Section 4.1)
-and the crowd itself.  This dependency-free subsystem keeps one flaky
-call from sinking a whole batch:
+Inside translation, NL2CM's one unreliable party is the interaction
+provider (a human answering clarification prompts, paper Section 4.1).
+This dependency-free subsystem keeps one flaky answer from sinking a
+whole batch:
 
-* :class:`RetryPolicy` — exponential backoff with *deterministic*
-  seeded jitter and injectable clock/sleep (tests never sleep);
+* :func:`backoff_delay` — exponential backoff with *deterministic*
+  seeded jitter (fixed schedule: 50 ms base, x2, 2 s cap, 0.5 jitter);
 * :class:`Deadline` — per-stage time budgets, checked cooperatively as
   each pipeline stage's span closes;
-* :class:`CircuitBreaker` — guards the provider and the crowd so a
-  dead dependency is rejected fast instead of hammered;
-* :class:`ResilientInteraction` — graceful degradation: after retries
-  are exhausted (or while the breaker is open) the request is answered
-  by :class:`~repro.ui.interaction.AutoInteraction` defaults, recorded
-  as a :class:`DegradationEvent` and counted in
-  ``repro_degraded_total``;
-* :class:`FaultPlan` / :class:`FlakyInteraction` / :class:`ChaosCrowd`
-  — the deterministic fault-injection harness behind the chaos suite
-  and the CLI's ``--inject-faults``.
+* :class:`CircuitBreaker` — guards the provider (and, in the sharded
+  tier, each shard) so a dead dependency is rejected fast instead of
+  hammered;
+* :class:`ResilientInteraction` — the one retry loop, with graceful
+  degradation: after retries are exhausted (or while the breaker is
+  open) the request is answered by
+  :class:`~repro.ui.interaction.AutoInteraction` defaults, recorded as
+  a :class:`DegradationEvent` and counted in ``repro_degraded_total``;
+* :class:`FaultPlan` / :class:`FlakyInteraction` — the deterministic
+  fault-injection harness behind the chaos suite and the CLI's
+  ``--inject-faults``.
 
-:class:`ResilienceConfig` bundles the knobs for
-``TranslationService(resilience=...)`` and the CLI.
+:class:`ResilienceConfig` bundles the settings for
+``TranslationService(resilience=...)``; the CLI and the shard workers
+build it with :meth:`ResilienceConfig.from_flags`.
 """
 
 from __future__ import annotations
@@ -31,83 +33,73 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import ChaosCrowd, FaultPlan, FlakyInteraction
-from repro.resilience.policy import Deadline, RetryPolicy, seeded_uniform
-from repro.resilience.wrappers import (
-    DegradationEvent,
-    ResilientCrowd,
-    ResilientInteraction,
-)
+from repro.resilience.faults import FaultPlan, FlakyInteraction
+from repro.resilience.policy import Deadline, backoff_delay, seeded_uniform
+from repro.resilience.wrappers import DegradationEvent, ResilientInteraction
 
 __all__ = [
-    "ChaosCrowd",
     "CircuitBreaker",
     "Deadline",
     "DegradationEvent",
     "FaultPlan",
     "FlakyInteraction",
     "ResilienceConfig",
-    "ResilientCrowd",
     "ResilientInteraction",
-    "RetryPolicy",
+    "backoff_delay",
     "seeded_uniform",
 ]
 
 
 @dataclass
 class ResilienceConfig:
-    """Knobs of the service's fault-tolerance layer.
+    """Settings of the service's fault-tolerance layer.
 
     Attributes:
         retries: retry attempts per interaction after the first call.
-        base_delay_ms / multiplier / max_delay_ms / jitter / seed:
-            the :class:`RetryPolicy` backoff schedule.
-        degrade: answer exhausted interactions from
-            :class:`~repro.ui.interaction.AutoInteraction` defaults
-            (recording a degradation) instead of raising.
-        breaker_threshold: consecutive provider failures that open the
-            circuit; 0 disables the breaker.
-        breaker_recovery_ms: how long an open circuit rejects calls
-            before probing again.
+        seed: determinism seed for the backoff jitter.
         faults: optional deterministic :class:`FaultPlan` injected
-            *under* the retry layer (chaos testing and the demo's
+            *under* the retry layer (chaos testing and the CLI's
             ``--inject-faults``).
+        breaker_threshold: consecutive provider failures that open the
+            shared circuit (for 30 s); 0 disables the breaker.  With the
+            breaker on, one question's failures can degrade another's,
+            so a chaos batch is reproducible across thread counts only
+            with 0 here or a single worker thread.
         clock / sleep: injectable time sources for the whole layer.
     """
 
     retries: int = 3
-    base_delay_ms: float = 50.0
-    multiplier: float = 2.0
-    max_delay_ms: float = 2000.0
-    jitter: float = 0.5
     seed: int = 0
-    degrade: bool = True
-    breaker_threshold: int = 5
-    breaker_recovery_ms: float = 30000.0
     faults: FaultPlan | None = None
+    breaker_threshold: int = 5
     clock: Callable[[], float] = field(default=time.monotonic, repr=False)
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
-    def policy(self) -> RetryPolicy:
-        """The configured retry policy."""
-        return RetryPolicy(
-            retries=self.retries,
-            base_delay=self.base_delay_ms / 1000.0,
-            multiplier=self.multiplier,
-            max_delay=self.max_delay_ms / 1000.0,
-            jitter=self.jitter,
-            seed=self.seed,
-            clock=self.clock,
-            sleep=self.sleep,
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ValueError("retries must be non-negative")
+
+    @classmethod
+    def from_flags(
+        cls, retries: int | None, seed: int, faults: FaultPlan | None,
+    ) -> "ResilienceConfig | None":
+        """The config ``--retries``/``--seed``/``--inject-faults`` imply.
+
+        ``None`` (resilience off) unless a retry budget or a fault plan
+        is given; a fault plan alone retries 3 times.
+        """
+        if retries is None and faults is None:
+            return None
+        return cls(
+            retries=3 if retries is None else retries,
+            seed=seed,
+            faults=faults,
         )
 
-    def breaker(self, name: str = "interaction") -> CircuitBreaker | None:
+    def breaker(self) -> CircuitBreaker | None:
         """A breaker per the config, or None when disabled."""
         if self.breaker_threshold <= 0:
             return None
         return CircuitBreaker(
-            failure_threshold=self.breaker_threshold,
-            recovery_seconds=self.breaker_recovery_ms / 1000.0,
-            clock=self.clock,
-            name=name,
+            failure_threshold=self.breaker_threshold, clock=self.clock,
         )

@@ -6,11 +6,11 @@ The classic three-state machine:
   a success resets the count;
 * **open** — after ``failure_threshold`` consecutive failures the
   breaker rejects every call (:meth:`allow` returns False) for
-  ``recovery_seconds``, so a dead interaction provider or crowd backend
-  is not hammered while it is down;
-* **half-open** — once the recovery window elapses, up to
-  ``half_open_max`` probe calls are let through; one success closes the
-  breaker, one failure re-opens it for another window.
+  ``recovery_seconds``, so a dead interaction provider or shard is not
+  hammered while it is down;
+* **half-open** — once the recovery window elapses, one probe call is
+  let through; its success closes the breaker, its failure re-opens it
+  for another window.
 
 The clock is injectable, so the whole state machine is testable without
 sleeping.  All transitions happen under one lock — the breaker is
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
-
-from repro.errors import CircuitOpenError
+from typing import Callable
 
 __all__ = ["CircuitBreaker"]
 
@@ -42,30 +40,22 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         recovery_seconds: float = 30.0,
-        half_open_max: int = 1,
         clock: Callable[[], float] = time.monotonic,
-        name: str = "breaker",
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if recovery_seconds < 0:
             raise ValueError("recovery_seconds must be non-negative")
-        if half_open_max < 1:
-            raise ValueError("half_open_max must be >= 1")
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
-        self.half_open_max = half_open_max
         self.clock = clock
-        self.name = name
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._probes_inflight = 0
-        #: Calls rejected while open (monotonic).
-        self.rejections = 0
-        #: Closed->open transitions (monotonic).
-        self.opens = 0
+        # A half-open probe is out; cleared whenever the breaker closes
+        # or opens, so it is always False on entering half-open.
+        self._probing = False
 
     # -- state ---------------------------------------------------------------
 
@@ -86,35 +76,29 @@ class CircuitBreaker:
             and self.clock() - self._opened_at >= self.recovery_seconds
         ):
             self._state = self.HALF_OPEN
-            self._probes_inflight = 0
 
     # -- protocol ------------------------------------------------------------
 
     def allow(self) -> bool:
         """May the caller try the dependency right now?
 
-        Counts a rejection when the answer is no.  In half-open state at
-        most ``half_open_max`` callers are admitted as probes until one
-        of them reports an outcome.
+        In half-open state one caller is admitted as the probe; the
+        rest are rejected until it reports an outcome.
         """
         with self._lock:
             self._maybe_half_open()
             if self._state == self.CLOSED:
                 return True
-            if (
-                self._state == self.HALF_OPEN
-                and self._probes_inflight < self.half_open_max
-            ):
-                self._probes_inflight += 1
+            if self._state == self.HALF_OPEN and not self._probing:
+                self._probing = True
                 return True
-            self.rejections += 1
             return False
 
     def record_success(self) -> None:
         with self._lock:
             self._state = self.CLOSED
             self._failures = 0
-            self._probes_inflight = 0
+            self._probing = False
 
     def record_failure(self) -> None:
         with self._lock:
@@ -123,27 +107,6 @@ class CircuitBreaker:
                 self._state == self.HALF_OPEN
                 or self._failures >= self.failure_threshold
             ):
-                if self._state != self.OPEN:
-                    self.opens += 1
                 self._state = self.OPEN
                 self._opened_at = self.clock()
-                self._probes_inflight = 0
-
-    def call(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` through the breaker; raise when open.
-
-        Raises:
-            CircuitOpenError: when the breaker rejects the call.
-        """
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is open "
-                f"(recovering for {self.recovery_seconds:g} s)"
-            )
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
+                self._probing = False

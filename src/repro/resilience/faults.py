@@ -2,15 +2,14 @@
 
 A :class:`FaultPlan` is a pure description of *when* to fail — on
 scheduled call indices, or at a seeded rate keyed by whatever the
-injector passes (question text, member id, attempt number).  The
-decision function is a hash, not process randomness, so a chaos run is
-bit-reproducible for a fixed seed regardless of thread scheduling, as
-long as each key's call sequence is itself sequential (which it is: one
-translation runs on one worker, one engine evaluation on one thread).
+injector passes (question text and call index).  The decision function
+is a hash, not process randomness, so a chaos run is bit-reproducible
+for a fixed seed regardless of thread scheduling, as long as each key's
+call sequence is itself sequential (which it is: one translation runs
+on one worker).
 
-:class:`FlakyInteraction` and :class:`ChaosCrowd` wrap the two
-unreliable parties of the paper's pipeline — the interaction provider
-(the user) and the crowd — and fail per plan, raising
+:class:`FlakyInteraction` wraps the interaction provider (the user, the
+unreliable party inside translation) and fails per plan, raising
 :class:`~repro.errors.InjectedFault` by default or any configured
 exception type (``RuntimeError`` exercises the serving layer's
 unexpected-exception guard).
@@ -25,7 +24,7 @@ from typing import Any
 from repro.errors import InjectedFault
 from repro.resilience.policy import seeded_uniform
 
-__all__ = ["ChaosCrowd", "FaultPlan", "FlakyInteraction"]
+__all__ = ["FaultPlan", "FlakyInteraction"]
 
 #: Exception types nameable in a ``--inject-faults`` spec.
 ERROR_TYPES: dict[str, type[BaseException]] = {
@@ -65,7 +64,7 @@ class FaultPlan:
         ``index`` is the injector's call counter (drives scheduled
         faults); ``key`` feeds the seeded rate draw — injectors pass
         whatever makes the decision schedule-independent (question
-        text + per-translation call index, member + fact-set + attempt).
+        text + per-translation call index).
         """
         if index in self.fail_indices:
             return True
@@ -132,12 +131,10 @@ class FlakyInteraction:
     still thread-safe, just keyed by global call order.
     """
 
-    def __init__(self, inner, plan: FaultPlan, *, key: str = "",
-                 max_failures: int | None = None):
+    def __init__(self, inner, plan: FaultPlan, *, key: str = ""):
         self.inner = inner
         self.plan = plan
         self.key = key
-        self.max_failures = max_failures
         self.calls = 0
         self.failures = 0
         self._lock = threading.Lock()
@@ -146,10 +143,7 @@ class FlakyInteraction:
         with self._lock:
             index = self.calls
             self.calls += 1
-            fail = self.plan.should_fail(index, key=(self.key, index)) and (
-                self.max_failures is None
-                or self.failures < self.max_failures
-            )
+            fail = self.plan.should_fail(index, key=(self.key, index))
             if fail:
                 self.failures += 1
         if fail:
@@ -157,43 +151,3 @@ class FlakyInteraction:
                 f"interaction call #{index} (key={self.key!r})"
             )
         return self.inner.ask(request)
-
-
-class ChaosCrowd:
-    """A crowd wrapper that fails per plan, else delegates to the crowd.
-
-    The rate draw is keyed by ``(member, fact-set, per-pair attempt)``,
-    so a retried question eventually gets through — and the whole
-    schedule reproduces for a fixed seed.  Everything the OASSIS engine
-    reads off a crowd (``member``, ``size``, ``ground_truth``, ...)
-    delegates to the wrapped instance.
-    """
-
-    def __init__(self, inner, plan: FaultPlan):
-        self.inner = inner
-        self.plan = plan
-        self.calls = 0
-        self.failures = 0
-        self._attempts: dict[tuple, int] = {}
-        self._lock = threading.Lock()
-
-    def ask(self, member, fact_set) -> float:
-        pair = (member.member_id, fact_set.key())
-        with self._lock:
-            attempt = self._attempts.get(pair, 0)
-            self._attempts[pair] = attempt + 1
-            index = self.calls
-            self.calls += 1
-            fail = self.plan.should_fail(
-                index, key=(pair[0], pair[1], attempt)
-            )
-            if fail:
-                self.failures += 1
-        if fail:
-            raise self.plan.make_error(
-                f"crowd member {member.member_id} on {fact_set.key()!r}"
-            )
-        return self.inner.ask(member, fact_set)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)

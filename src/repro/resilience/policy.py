@@ -1,18 +1,17 @@
-"""Retry policies and deadlines: the timing substrate of fault tolerance.
+"""Backoff and deadlines: the timing substrate of fault tolerance.
 
-Everything here is deterministic and injectable by design:
+Everything here is deterministic by design:
 
 * backoff jitter is *seeded* — computed from a hash of
   ``(seed, key, attempt)``, never from process randomness — so a retry
   schedule is bit-reproducible under a fixed seed;
-* the clock and the sleep function are constructor arguments, so tests
-  drive time forward explicitly and never actually sleep.
+* a :class:`Deadline` takes its clock as an argument, so tests drive
+  time forward explicitly.
 
 A :class:`Deadline` is a point on a monotonic clock; the pipeline
 attaches one per stage span (cooperative: a synchronous stage cannot be
 interrupted mid-flight, so the deadline is checked when the stage's
-span closes) and :meth:`RetryPolicy.run` clamps its backoff pauses to
-whatever budget remains.
+span closes).
 """
 
 from __future__ import annotations
@@ -20,11 +19,25 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import DeadlineExceeded, ReproError
 
-__all__ = ["Deadline", "RetryPolicy", "seeded_uniform"]
+__all__ = ["Deadline", "backoff_delay", "seeded_uniform"]
+
+#: The backoff schedule: the pause before retry *i* is
+#: ``min(MAX_DELAY, BASE_DELAY * MULTIPLIER**i) * (1 - JITTER * u)``,
+#: seconds, with ``u`` the seeded draw of :func:`backoff_delay`.
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 2.0
+JITTER = 0.5
+
+#: Exception types worth retrying: every library error plus the
+#: transient-I/O shapes a real interaction transport would raise
+#: (``ConnectionError`` and ``TimeoutError`` are ``OSError``\ s).
+#: Anything else is a programming error and is not retried.
+RETRY_ON: tuple[type[BaseException], ...] = (ReproError, OSError)
 
 
 def seeded_uniform(*key_parts: object) -> float:
@@ -39,6 +52,17 @@ def seeded_uniform(*key_parts: object) -> float:
     ).digest()
     (a,) = struct.unpack("<Q", digest[:8])
     return a / 2.0 ** 64
+
+
+def backoff_delay(attempt: int, key: object = "", seed: int = 0) -> float:
+    """The pause, in seconds, before retry number ``attempt`` (0-based).
+
+    Exponential and capped, with the jitter drawn from
+    ``seeded_uniform(seed, key, attempt)``: the pause lies in
+    ``[raw * (1 - JITTER), raw]`` and is the same on every run.
+    """
+    raw = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** attempt)
+    return raw * (1.0 - JITTER * seeded_uniform(seed, key, attempt))
 
 
 class Deadline:
@@ -57,21 +81,9 @@ class Deadline:
         self._clock = clock
         self._expires_at = clock() + float(seconds)
 
-    @classmethod
-    def after(
-        cls,
-        seconds: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "Deadline":
-        return cls(seconds, clock)
-
     def remaining(self) -> float:
         """Seconds left; negative once expired."""
         return self._expires_at - self._clock()
-
-    @property
-    def expired(self) -> bool:
-        return self.remaining() <= 0
 
     def check(self, what: str = "operation") -> None:
         """Raise :class:`DeadlineExceeded` if the budget is spent."""
@@ -85,112 +97,3 @@ class Deadline:
                 elapsed=elapsed,
                 budget=self.budget,
             )
-
-
-#: Exception types retried by default: every library error plus the
-#: transient-I/O shapes a real interaction transport would raise.
-DEFAULT_RETRY_ON: tuple[type[BaseException], ...] = (
-    ReproError, ConnectionError, TimeoutError, OSError,
-)
-
-
-class RetryPolicy:
-    """Exponential backoff with deterministic seeded jitter.
-
-    Args:
-        retries: attempts *after* the first call (``retries=3`` means up
-            to 4 calls total).
-        base_delay: first backoff pause, seconds.
-        multiplier: exponential growth factor per attempt.
-        max_delay: cap on a single pause, seconds.
-        jitter: fraction of the pause randomized away, in ``[0, 1]``;
-            the pause for attempt *i* is
-            ``capped * (1 - jitter * u(seed, key, i))``.
-        seed: determinism seed for the jitter draws.
-        retry_on: exception types worth retrying; anything else
-            propagates immediately.
-        clock: monotonic clock, injectable for tests.
-        sleep: pause function, injectable so tests never sleep.
-    """
-
-    def __init__(
-        self,
-        retries: int = 3,
-        base_delay: float = 0.05,
-        multiplier: float = 2.0,
-        max_delay: float = 2.0,
-        jitter: float = 0.5,
-        seed: int = 0,
-        retry_on: tuple[type[BaseException], ...] = DEFAULT_RETRY_ON,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if base_delay < 0 or max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        self.retries = retries
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.max_delay = max_delay
-        self.jitter = jitter
-        self.seed = seed
-        self.retry_on = tuple(retry_on)
-        self.clock = clock
-        self.sleep = sleep
-
-    def retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retry_on)
-
-    def delay(self, attempt: int, key: object = "") -> float:
-        """The backoff pause before retry number ``attempt`` (0-based)."""
-        raw = min(
-            self.max_delay, self.base_delay * self.multiplier ** attempt
-        )
-        if not self.jitter:
-            return raw
-        u = seeded_uniform(self.seed, key, attempt)
-        return raw * (1.0 - self.jitter * u)
-
-    def delays(self, key: object = "") -> list[float]:
-        """The full (deterministic) backoff schedule for ``key``."""
-        return [self.delay(i, key) for i in range(self.retries)]
-
-    def run(
-        self,
-        fn: Callable[[], Any],
-        *,
-        key: object = "",
-        deadline: Deadline | None = None,
-        on_retry: Callable[[int, BaseException], None] | None = None,
-    ) -> Any:
-        """Call ``fn`` under this policy; return its first success.
-
-        Retries only :attr:`retry_on` exceptions, pausing per
-        :meth:`delay` (clamped to the deadline's remaining budget).
-        When retries are exhausted — or the deadline expires first —
-        the *last* exception is re-raised as-is; callers that need a
-        typed error wrap it themselves (see ``ResilientInteraction``).
-        """
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except Exception as exc:
-                if not self.retryable(exc) or attempt >= self.retries:
-                    raise
-                pause = self.delay(attempt, key)
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    if remaining <= 0:
-                        raise
-                    pause = min(pause, remaining)
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                if pause > 0:
-                    self.sleep(pause)
-                attempt += 1

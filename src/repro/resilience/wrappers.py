@@ -1,30 +1,26 @@
-"""Resilient wrappers for the pipeline's two unreliable parties.
+"""Retry and graceful degradation around the interaction provider.
 
-:class:`ResilientInteraction` guards an interaction provider with a
-retry policy and an optional shared circuit breaker, and — after
-retries are exhausted or while the breaker is open — *degrades
-gracefully*: it answers from a fallback provider (normally
-:class:`~repro.ui.interaction.AutoInteraction` defaults, the paper's
-"skip the interaction point" configuration) instead of failing the
-whole translation, and records a :class:`DegradationEvent` per skipped
-interaction.  One wrapper serves one translation, so its events map
-1:1 onto a request's trace.
-
-:class:`ResilientCrowd` guards a crowd's ``ask`` the same way, but has
-no meaningful fallback answer — after retries it raises a typed error
-(:class:`~repro.errors.ProviderFailure` for non-library exceptions).
+:class:`ResilientInteraction` guards an interaction provider with the
+seeded backoff of :func:`~repro.resilience.policy.backoff_delay` and an
+optional shared circuit breaker, and — after retries are exhausted or
+while the breaker is open — *degrades gracefully*: it answers from a
+fallback provider (normally :class:`~repro.ui.interaction.AutoInteraction`
+defaults, the paper's "skip the interaction point" configuration)
+instead of failing the whole translation, and records a
+:class:`DegradationEvent` per skipped interaction.  One wrapper serves
+one translation, so its events map 1:1 onto a request's trace.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import CircuitOpenError, ProviderFailure, ReproError
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.policy import Deadline, RetryPolicy
+from repro.resilience.policy import RETRY_ON, backoff_delay
 
-__all__ = ["DegradationEvent", "ResilientCrowd", "ResilientInteraction"]
+__all__ = ["DegradationEvent", "ResilientInteraction"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,7 @@ class DegradationEvent:
     """One interaction answered by the fallback instead of the provider."""
 
     request: str            # request type name, e.g. "LimitRequest"
-    reason: str             # "circuit-open" | "retries-exhausted" | ...
+    reason: str             # "circuit-open" | "retries-exhausted"
     error: str | None = None  # repr of the last provider error, if any
 
 
@@ -41,16 +37,14 @@ class ResilientInteraction:
 
     Args:
         inner: the guarded provider.
-        policy: retry policy; a default one if omitted.
+        fallback: provider answering degraded requests.
         breaker: optional shared breaker (one per service, guarding the
             provider dependency across all worker threads).
-        fallback: provider answering degraded requests; ``None`` turns
-            degradation off — exhausted retries then raise a typed
-            error instead.
-        deadline: optional overall budget; backoff pauses are clamped
-            to it and an expired deadline stops retrying.
-        on_retry / on_degraded / on_rejected: counter hooks for the
-            serving layer (called outside any lock held here).
+        retries: retry attempts per request after the first call.
+        seed: determinism seed for the backoff jitter.
+        sleep: pause function, injectable so tests never sleep.
+        on_retry / on_rejected: counter hooks for the serving layer
+            (called outside any lock held here).
 
     Deliberately defines no ``cache_fingerprint``: the wrapper is
     applied *after* cache lookup, and the service refuses to cache
@@ -61,21 +55,21 @@ class ResilientInteraction:
         self,
         inner,
         *,
-        policy: RetryPolicy | None = None,
+        fallback,
         breaker: CircuitBreaker | None = None,
-        fallback=None,
-        deadline: Deadline | None = None,
+        retries: int = 3,
+        seed: int = 0,
+        sleep: Callable[[float], None] = time.sleep,
         on_retry: Callable[[], None] | None = None,
-        on_degraded: Callable[[], None] | None = None,
         on_rejected: Callable[[], None] | None = None,
     ):
         self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker
         self.fallback = fallback
-        self.deadline = deadline
+        self.breaker = breaker
+        self.max_retries = retries
+        self.seed = seed
+        self.sleep = sleep
         self.on_retry = on_retry
-        self.on_degraded = on_degraded
         self.on_rejected = on_rejected
         self.events: list[DegradationEvent] = []
         self.retries = 0
@@ -108,9 +102,7 @@ class ResilientInteraction:
     # -- internals -----------------------------------------------------------
 
     def _may_retry(self, exc: BaseException, attempt: int) -> bool:
-        if not self.policy.retryable(exc) or attempt >= self.policy.retries:
-            return False
-        if self.deadline is not None and self.deadline.expired:
+        if not isinstance(exc, RETRY_ON) or attempt >= self.max_retries:
             return False
         if self.breaker is not None and not self.breaker.allow():
             if self.on_rejected is not None:
@@ -119,94 +111,16 @@ class ResilientInteraction:
         return True
 
     def _pause(self, request, attempt: int) -> None:
-        pause = self.policy.delay(attempt, key=type(request).__name__)
-        if self.deadline is not None:
-            pause = min(pause, max(0.0, self.deadline.remaining()))
         self.retries += 1
         if self.on_retry is not None:
             self.on_retry()
-        if pause > 0:
-            self.policy.sleep(pause)
+        self.sleep(backoff_delay(attempt, type(request).__name__, self.seed))
 
     def _degrade(self, request, reason: str, error: BaseException | None):
-        if self.fallback is None:
-            if error is None:
-                raise CircuitOpenError(
-                    f"interaction provider circuit is open; no fallback "
-                    f"configured for {type(request).__name__}"
-                )
-            if isinstance(error, ReproError):
-                raise error
-            raise ProviderFailure(
-                f"interaction provider failed after "
-                f"{self.policy.retries} retries: {error!r}"
-            ) from error
         answer = self.fallback.ask(request)
         self.events.append(DegradationEvent(
             request=type(request).__name__,
             reason=reason,
             error=repr(error) if error is not None else None,
         ))
-        if self.on_degraded is not None:
-            self.on_degraded()
         return answer
-
-
-class ResilientCrowd:
-    """Retry + breaker around a crowd's ``ask``; delegates the rest.
-
-    There is no sensible fabricated crowd answer, so exhausted retries
-    raise: library errors as themselves, anything else wrapped in
-    :class:`~repro.errors.ProviderFailure`.  An open breaker raises
-    :class:`~repro.errors.CircuitOpenError` without touching the crowd.
-    """
-
-    def __init__(
-        self,
-        inner,
-        *,
-        policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-    ):
-        self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker
-        self.retries = 0
-
-    def ask(self, member, fact_set) -> float:
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"crowd circuit is open; member {member.member_id} "
-                f"not asked"
-            )
-
-        def once() -> float:
-            try:
-                value = self.inner.ask(member, fact_set)
-            except Exception:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                raise
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return value
-
-        def count_retry(_attempt: int, _exc: BaseException) -> None:
-            self.retries += 1
-
-        try:
-            return self.policy.run(
-                once,
-                key=(member.member_id, fact_set.key()),
-                on_retry=count_retry,
-            )
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise ProviderFailure(
-                f"crowd failed after {self.policy.retries} retries: "
-                f"{exc!r}"
-            ) from exc
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)

@@ -364,7 +364,7 @@ class TranslationService:
         resilience: a :class:`~repro.resilience.ResilienceConfig`
             enabling the fault-tolerance layer — interaction calls are
             retried with deterministic backoff behind a shared circuit
-            breaker, and (when ``degrade`` is on) answered from
+            breaker, and answered from the
             :class:`~repro.ui.interaction.AutoInteraction` defaults
             after retries are exhausted.  Degraded results are flagged
             on the trace and the :class:`BatchItem`, counted in
@@ -398,16 +398,10 @@ class TranslationService:
             slow_log = SlowQueryLog(threshold_ms=float(slow_log))
         self.slow_log = slow_log
         self.resilience = resilience
-        if resilience is not None:
-            self._r_policy = resilience.policy()
-            self._r_breaker = resilience.breaker("interaction")
-            self._r_fallback = (
-                AutoInteraction() if resilience.degrade else None
-            )
-        else:
-            self._r_policy = None
-            self._r_breaker = None
-            self._r_fallback = None
+        self._r_breaker = (
+            resilience.breaker() if resilience is not None else None
+        )
+        self._r_fallback = AutoInteraction()
         self._lock = threading.Lock()
         self._build_metrics()
         if self.cache is not None:
@@ -606,20 +600,21 @@ class TranslationService:
         index, never on thread scheduling, and the wrapper's degradation
         events map 1:1 onto this request's trace.
         """
-        if self.resilience is None:
+        config = self.resilience
+        if config is None:
             return None
         inner = provider
-        if self.resilience.faults is not None:
+        if config.faults is not None:
             inner = FlakyInteraction(
-                inner,
-                self.resilience.faults,
-                key=TranslationCache.normalize(text),
+                inner, config.faults, key=TranslationCache.normalize(text),
             )
         return ResilientInteraction(
             inner,
-            policy=self._r_policy,
-            breaker=self._r_breaker,
             fallback=self._r_fallback,
+            breaker=self._r_breaker,
+            retries=config.retries,
+            seed=config.seed,
+            sleep=config.sleep,
             on_retry=self._m_retries.inc,
             on_rejected=self._m_breaker_rejections.inc,
         )

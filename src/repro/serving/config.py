@@ -76,15 +76,18 @@ class WorkerSpec:
             raise ValueError("cache_size must be >= 0 (0 disables)")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        # Checked here, before any worker is spawned: a spec that
+        # fails inside the worker would leave the manager waiting on
+        # a hello that never comes.
+        if self.retries is not None and self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.stage_timeout_ms is not None and self.stage_timeout_ms < 0:
+            raise ValueError("stage_timeout_ms must be >= 0")
 
     def resilience(self) -> ResilienceConfig | None:
         """The resilience config this spec implies, or ``None``."""
-        if self.retries is None and self.faults is None:
-            return None
-        return ResilienceConfig(
-            retries=self.retries if self.retries is not None else 3,
-            seed=self.seed,
-            faults=self.faults,
+        return ResilienceConfig.from_flags(
+            self.retries, self.seed, self.faults
         )
 
     def build_service(self) -> "TranslationService":

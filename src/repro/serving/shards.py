@@ -352,9 +352,8 @@ class ShardManager:
             CircuitBreaker(
                 failure_threshold=BREAKER_THRESHOLD,
                 recovery_seconds=BREAKER_RECOVERY_SECONDS,
-                name=f"shard-{i}",
             )
-            for i in range(shards)
+            for _ in range(shards)
         ]
         self._lock = threading.Lock()          # manager-level counters
         self._accept_lock = threading.Lock()   # the shared listener

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.errors import CircuitOpenError
 from repro.resilience import CircuitBreaker
 
 
@@ -34,7 +33,6 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(failure_threshold=0),
         dict(recovery_seconds=-1.0),
-        dict(half_open_max=0),
     ])
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -55,9 +53,7 @@ class TestStateMachine:
         assert breaker.state == CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 1
         assert not breaker.allow()
-        assert breaker.rejections == 1
         assert breaker.state_code() == 2.0
 
     def test_success_resets_the_failure_count(self):
@@ -99,28 +95,10 @@ class TestStateMachine:
         assert breaker.allow()
         breaker.record_failure()  # one half-open failure is enough
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 2
         clock.advance(5.0)
         assert not breaker.allow()
         clock.advance(5.0)
         assert breaker.allow()
-
-
-class TestCall:
-    def test_call_passes_through_and_closes(self):
-        breaker, _ = make(threshold=1)
-        assert breaker.call(lambda: "value") == "value"
-
-    def test_call_records_failures_and_opens(self):
-        breaker, _ = make(threshold=1)
-        with pytest.raises(RuntimeError):
-            breaker.call(self._boom)
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never reached")
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("down")
 
 
 class TestThreadSafety:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InjectedFault, ReproError
-from repro.resilience import ChaosCrowd, FaultPlan, FlakyInteraction
+from repro.resilience import FaultPlan, FlakyInteraction
 from repro.ui.interaction import AutoInteraction, LimitRequest
 
 
@@ -101,15 +101,6 @@ class TestFlakyInteraction:
         with pytest.raises(ReproError):
             flaky.ask(self.request())
 
-    def test_max_failures_caps_the_chaos(self):
-        flaky = FlakyInteraction(
-            AutoInteraction(), FaultPlan(rate=1.0), max_failures=2,
-        )
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                flaky.ask(self.request())
-        assert flaky.ask(self.request()) == 5
-
     def test_schedule_keyed_by_question_not_global_order(self):
         plan = FaultPlan(rate=0.5, seed=3)
         a1 = FlakyInteraction(AutoInteraction(), plan, key="question a")
@@ -125,74 +116,3 @@ class TestFlakyInteraction:
                     run.append(False)
             outcomes.append(run)
         assert outcomes[0] == outcomes[1]
-
-
-class FakeMember:
-    def __init__(self, member_id):
-        self.member_id = member_id
-
-
-class FakeFactSet:
-    def __init__(self, name):
-        self.name = name
-
-    def key(self):
-        return self.name
-
-
-class FakeCrowd:
-    size = 11
-
-    def __init__(self):
-        self.asked = []
-
-    def ask(self, member, fact_set):
-        self.asked.append((member.member_id, fact_set.key()))
-        return 0.5
-
-
-class TestChaosCrowd:
-    def test_scheduled_failure_then_delegate(self):
-        chaos = ChaosCrowd(FakeCrowd(), FaultPlan(fail_indices=frozenset({0})))
-        with pytest.raises(InjectedFault):
-            chaos.ask(FakeMember(1), FakeFactSet("f"))
-        assert chaos.ask(FakeMember(1), FakeFactSet("f")) == 0.5
-        assert chaos.failures == 1
-        assert chaos.calls == 2
-
-    def test_retried_pair_draws_a_fresh_decision(self):
-        # The rate draw is keyed by (member, fact-set, attempt): a pair
-        # that fails on attempt 0 can succeed on a later attempt, so a
-        # retry loop makes progress instead of spinning forever.
-        plan = FaultPlan(rate=0.5, seed=0)
-        chaos = ChaosCrowd(FakeCrowd(), plan)
-        member, fs = FakeMember(3), FakeFactSet("hiking")
-        outcomes = []
-        for _ in range(16):
-            try:
-                chaos.ask(member, fs)
-                outcomes.append(True)
-            except InjectedFault:
-                outcomes.append(False)
-        assert True in outcomes and False in outcomes
-
-    def test_schedule_reproduces_for_fixed_seed(self):
-        def run():
-            chaos = ChaosCrowd(FakeCrowd(), FaultPlan(rate=0.4, seed=9))
-            out = []
-            for m in range(5):
-                for f in ("a", "b", "c"):
-                    try:
-                        chaos.ask(FakeMember(m), FakeFactSet(f))
-                        out.append(True)
-                    except InjectedFault:
-                        out.append(False)
-            return out
-
-        assert run() == run()
-
-    def test_delegates_everything_else(self):
-        inner = FakeCrowd()
-        chaos = ChaosCrowd(inner, FaultPlan())
-        assert chaos.size == 11
-        assert chaos.asked is inner.asked

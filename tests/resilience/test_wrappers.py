@@ -1,27 +1,20 @@
-"""ResilientInteraction / ResilientCrowd: retry, degrade, breaker."""
+"""ResilientInteraction: retry, degrade, breaker."""
 
 import pytest
 
-from repro.errors import (
-    CircuitOpenError,
-    InjectedFault,
-    ProviderFailure,
-    ReproError,
-)
 from repro.resilience import (
     CircuitBreaker,
     FaultPlan,
     FlakyInteraction,
-    ResilientCrowd,
     ResilientInteraction,
-    RetryPolicy,
 )
 from repro.ui.interaction import AutoInteraction, LimitRequest
 
 
-def quiet_policy(**kwargs):
-    kwargs.setdefault("retries", 3)
-    return RetryPolicy(sleep=lambda s: None, **kwargs)
+def guard(inner, **kwargs):
+    """A wrapper that never sleeps, degrading to AutoInteraction()."""
+    kwargs.setdefault("fallback", AutoInteraction())
+    return ResilientInteraction(inner, sleep=lambda s: None, **kwargs)
 
 
 def request():
@@ -30,10 +23,7 @@ def request():
 
 class TestResilientInteraction:
     def test_healthy_provider_passes_through(self):
-        guarded = ResilientInteraction(
-            AutoInteraction(default_limit=9), policy=quiet_policy(),
-            fallback=AutoInteraction(),
-        )
+        guarded = guard(AutoInteraction(default_limit=9))
         assert guarded.ask(request()) == 9
         assert not guarded.degraded
         assert guarded.retries == 0
@@ -44,11 +34,7 @@ class TestResilientInteraction:
             FaultPlan(fail_indices=frozenset({0, 1})),
         )
         retried = []
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(),
-            fallback=AutoInteraction(),
-            on_retry=lambda: retried.append(1),
-        )
+        guarded = guard(flaky, on_retry=lambda: retried.append(1))
         assert guarded.ask(request()) == 9
         assert not guarded.degraded
         assert guarded.retries == 2
@@ -56,12 +42,12 @@ class TestResilientInteraction:
 
     def test_exhausted_retries_degrade_to_fallback(self):
         flaky = FlakyInteraction(AutoInteraction(), FaultPlan(rate=1.0))
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(retries=2),
-            fallback=AutoInteraction(default_limit=77),
+        guarded = guard(
+            flaky, retries=2, fallback=AutoInteraction(default_limit=77),
         )
         assert guarded.ask(request()) == 77
         assert guarded.degraded
+        assert guarded.retries == 2
         (event,) = guarded.events
         assert event.request == "LimitRequest"
         assert event.reason == "retries-exhausted"
@@ -72,33 +58,21 @@ class TestResilientInteraction:
             AutoInteraction(),
             FaultPlan(rate=1.0, error_type=RuntimeError),
         )
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(),
-            fallback=AutoInteraction(default_limit=5),
-        )
+        guarded = guard(flaky, fallback=AutoInteraction(default_limit=5))
         assert guarded.ask(request()) == 5
         assert guarded.retries == 0
         assert guarded.degraded
 
-    def test_without_fallback_library_error_reraises(self):
-        flaky = FlakyInteraction(AutoInteraction(), FaultPlan(rate=1.0))
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(retries=1), fallback=None,
-        )
-        with pytest.raises(InjectedFault):
-            guarded.ask(request())
-
-    def test_without_fallback_foreign_error_wrapped(self):
+    @pytest.mark.parametrize("error", ["timeout", "connection"])
+    def test_transient_io_errors_are_retried(self, error):
         flaky = FlakyInteraction(
-            AutoInteraction(),
-            FaultPlan(rate=1.0, error_type=RuntimeError),
+            AutoInteraction(default_limit=9),
+            FaultPlan.parse(f"indices=0,error={error}"),
         )
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(), fallback=None,
-        )
-        with pytest.raises(ProviderFailure) as exc_info:
-            guarded.ask(request())
-        assert isinstance(exc_info.value, ReproError)
+        guarded = guard(flaky)
+        assert guarded.ask(request()) == 9
+        assert guarded.retries == 1
+        assert not guarded.degraded
 
     def test_open_breaker_degrades_without_touching_provider(self):
         class Exploding:
@@ -108,8 +82,8 @@ class TestResilientInteraction:
         breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure()
         rejected = []
-        guarded = ResilientInteraction(
-            Exploding(), policy=quiet_policy(),
+        guarded = guard(
+            Exploding(),
             breaker=breaker,
             fallback=AutoInteraction(default_limit=5),
             on_rejected=lambda: rejected.append(1),
@@ -120,93 +94,21 @@ class TestResilientInteraction:
         assert event.error is None
         assert rejected == [1]
 
-    def test_open_breaker_without_fallback_raises_typed(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-        guarded = ResilientInteraction(
-            AutoInteraction(), policy=quiet_policy(),
-            breaker=breaker, fallback=None,
-        )
-        with pytest.raises(CircuitOpenError):
-            guarded.ask(request())
-
     def test_failures_feed_the_shared_breaker(self):
         breaker = CircuitBreaker(failure_threshold=2)
         flaky = FlakyInteraction(AutoInteraction(), FaultPlan(rate=1.0))
-        guarded = ResilientInteraction(
-            flaky, policy=quiet_policy(retries=5),
-            breaker=breaker, fallback=AutoInteraction(),
+        rejected = []
+        guarded = guard(
+            flaky, retries=5, breaker=breaker,
+            on_rejected=lambda: rejected.append(1),
         )
         guarded.ask(request())
         assert breaker.state == CircuitBreaker.OPEN
+        # The second failure opened the circuit, so the retry it would
+        # have earned is rejected instead of hammering the provider.
+        assert guarded.retries == 1
+        assert rejected == [1]
 
     def test_no_cache_fingerprint_by_design(self):
-        guarded = ResilientInteraction(
-            AutoInteraction(), policy=quiet_policy(),
-            fallback=AutoInteraction(),
-        )
+        guarded = guard(AutoInteraction())
         assert not hasattr(guarded, "cache_fingerprint")
-
-
-class FakeMember:
-    def __init__(self, member_id):
-        self.member_id = member_id
-
-
-class FakeFactSet:
-    def key(self):
-        return "fs"
-
-
-class TestResilientCrowd:
-    def test_retries_then_succeeds(self):
-        class Flaky:
-            size = 10
-
-            def __init__(self):
-                self.calls = 0
-
-            def ask(self, member, fact_set):
-                self.calls += 1
-                if self.calls < 3:
-                    raise ConnectionError("transient")
-                return 0.4
-
-        inner = Flaky()
-        crowd = ResilientCrowd(inner, policy=quiet_policy())
-        assert crowd.ask(FakeMember(1), FakeFactSet()) == 0.4
-        assert inner.calls == 3
-        assert crowd.retries == 2
-        assert crowd.size == 10  # delegation
-
-    def test_open_breaker_raises_without_asking(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-
-        class Exploding:
-            def ask(self, member, fact_set):  # pragma: no cover
-                raise AssertionError("crowd touched behind open breaker")
-
-        crowd = ResilientCrowd(
-            Exploding(), policy=quiet_policy(), breaker=breaker,
-        )
-        with pytest.raises(CircuitOpenError):
-            crowd.ask(FakeMember(1), FakeFactSet())
-
-    def test_exhausted_foreign_error_wrapped_as_provider_failure(self):
-        class Broken:
-            def ask(self, member, fact_set):
-                raise ConnectionError("down for good")
-
-        crowd = ResilientCrowd(Broken(), policy=quiet_policy(retries=1))
-        with pytest.raises(ProviderFailure):
-            crowd.ask(FakeMember(1), FakeFactSet())
-
-    def test_library_error_passes_through_unwrapped(self):
-        class Refusing:
-            def ask(self, member, fact_set):
-                raise InjectedFault("scripted")
-
-        crowd = ResilientCrowd(Refusing(), policy=quiet_policy(retries=1))
-        with pytest.raises(InjectedFault):
-            crowd.ask(FakeMember(1), FakeFactSet())

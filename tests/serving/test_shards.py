@@ -30,6 +30,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardManager(shards=1, start_method="fork")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(retries=-1),
+        dict(stage_timeout_ms=-5),
+    ])
+    def test_worker_spec_rejects_negative_values(self, kwargs):
+        # Refused before anything is spawned, not inside the worker.
+        with pytest.raises(ValueError):
+            WorkerSpec(**kwargs)
+
     def test_context_manager_closes(self):
         with ShardManager(
             shards=1, spec=WorkerSpec(cache_size=4),

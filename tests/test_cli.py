@@ -180,6 +180,35 @@ class TestServeMode:
         assert 'nl2cm_requests_total{shard="0"} 1' in exposition
 
 
+class TestNegativeFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--batch", "q.txt", "--retries", "-1"],
+        ["--batch", "q.txt", "--stage-timeout-ms", "-5"],
+        ["--serve", "--port", "0", "--shards", "1", "--retries", "-1"],
+        ["--serve", "--port", "0", "--shards", "1",
+         "--stage-timeout-ms", "-5"],
+    ])
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "must be >= 0" in err
+
+    def test_serve_exits_before_spawning_a_worker(self):
+        # A worker that died on the bad value would leave the manager
+        # waiting out its connect timeout instead of exiting.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--serve", "--port", "0",
+             "--shards", "1", "--retries", "-1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 2
+        assert "argument --retries: must be >= 0" in completed.stderr
+        assert "Traceback" not in completed.stderr
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         completed = subprocess.run(

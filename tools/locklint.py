@@ -44,8 +44,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     # see the caller's lock.
     ("CircuitBreaker", "_state"):
         "mutated in _maybe_half_open, whose callers hold self._lock",
-    ("CircuitBreaker", "_probes_inflight"):
-        "mutated in _maybe_half_open, whose callers hold self._lock",
 }
 
 #: substrings that mark a ``with`` context expression as a lock.
