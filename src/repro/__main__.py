@@ -98,16 +98,16 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro import NL2CM, VerificationError
-from repro.data.ontologies import load_merged_ontology
-from repro.errors import ReproError
+from repro.errors import ReproError, VerificationError
 from repro.obs import MetricsRegistry, SlowQueryLog
 from repro.resilience import FaultPlan, ResilienceConfig
-from repro.service import TranslationService
-from repro.ui.interaction import ConsoleInteraction
 
+# The translation stack loads inside the modes that translate: a
+# ``--serve`` front end only routes, and its workers build their own.
 if TYPE_CHECKING:
+    from repro.core.pipeline import NL2CM
     from repro.oassis.engine import OassisEngine
+    from repro.service.service import TranslationService
 
 
 def _non_negative(kind):
@@ -355,6 +355,8 @@ def run_lint(args) -> int:
         lint_questions,
         lint_scenario_pack,
     )
+    from repro.core.pipeline import NL2CM
+    from repro.data.ontologies import load_merged_ontology
 
     outcome = LintOutcome()
     if args.lint_patterns:
@@ -433,6 +435,8 @@ def run_score(args) -> int:
 
 
 def run_explain(args) -> int:
+    from repro.core.pipeline import NL2CM
+    from repro.data.ontologies import load_merged_ontology
     from repro.oassis.engine import OassisEngine
     from repro.oassisql import parse_oassisql
     from repro.rdf.planner import QueryPlanner
@@ -571,6 +575,11 @@ def main(argv: list[str] | None = None) -> int:
         return run_explain(args)
     if args.serve:
         return run_serve(args)
+
+    from repro.core.pipeline import NL2CM
+    from repro.data.ontologies import load_merged_ontology
+    from repro.service.service import TranslationService
+    from repro.ui.interaction import ConsoleInteraction
 
     interaction = ConsoleInteraction() if args.interactive else None
     ontology = load_merged_ontology()

@@ -14,21 +14,35 @@ Quickstart::
     service = TranslationService(workers=4, cache=512)
     items = service.translate_batch(questions)
     print(service.stats().cache_hit_rate)
+
+Exports are lazy (PEP 562), so a process that only reads stats
+(:mod:`repro.service.stats`) or the cache never imports the translator.
 """
 
-from repro.service.cache import CacheStats, TranslationCache
-from repro.service.service import (
-    BatchItem,
-    ServiceStats,
-    StageStat,
-    TranslationService,
-)
+from importlib import import_module
 
-__all__ = [
-    "BatchItem",
-    "CacheStats",
-    "ServiceStats",
-    "StageStat",
-    "TranslationCache",
-    "TranslationService",
-]
+_LOCATIONS = {
+    "BatchItem": "repro.service.service",
+    "CacheStats": "repro.service.cache",
+    "ServiceStats": "repro.service.stats",
+    "StageStat": "repro.service.stats",
+    "TranslationCache": "repro.service.cache",
+    "TranslationService": "repro.service.service",
+}
+
+__all__ = list(_LOCATIONS)
+
+
+def __getattr__(name: str):
+    module_name = _LOCATIONS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module 'repro.service' has no attribute {name!r}"
+        )
+    value = getattr(import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

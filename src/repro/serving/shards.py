@@ -94,7 +94,7 @@ from repro.serving.hashring import HashRing
 from repro.serving.stats import ServingStats, ShardSnapshot
 from repro.serving.worker import _process_entry, worker_main
 from repro.service.cache import TranslationCache
-from repro.service.service import ServiceStats
+from repro.service.stats import ServiceStats
 
 __all__ = ["RemoteOutcome", "ShardManager"]
 

@@ -5,7 +5,7 @@ exposition; the shard manager parses it back into a metrics snapshot
 (:func:`~repro.obs.metrics.parse_prometheus_text`), keeps each shard's
 lifetime snapshot, and reads every number through the one view,
 :meth:`ServiceStats.from_samples
-<repro.service.service.ServiceStats.from_samples>` — for each
+<repro.service.stats.ServiceStats.from_samples>` — for each
 :class:`ShardSnapshot` and for the merged total.  :class:`ServingStats`
 adds the front-end-only counters (shed, dispatch errors, deadline
 expiries, restarts) that no worker can know about.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.service.service import ServiceStats
+from repro.service.stats import ServiceStats
 
 __all__ = ["ServingStats", "ShardSnapshot"]
 

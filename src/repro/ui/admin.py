@@ -3,7 +3,7 @@
 The demo's admin mode (Section 4.2) gives "a peek under the hood" of a
 single translation; :func:`render_service_stats` is the same peek for
 the serving layer — request counters, cache effectiveness and per-stage
-latency aggregates of a :class:`~repro.service.service.ServiceStats`
+latency aggregates of a :class:`~repro.service.stats.ServiceStats`
 snapshot, as a plain-text panel the CLI and examples can print.
 """
 
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdf.planner import PlanExplain
-    from repro.service.service import ServiceStats
+    from repro.service.stats import ServiceStats
     from repro.serving.stats import ServingStats
 
 __all__ = [

@@ -5,16 +5,19 @@ import http.client
 import json
 import re
 import socket
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
+from collections import defaultdict
 from urllib.parse import urlsplit
 
 import pytest
 
 from repro.obs.metrics import parse_prometheus_text
 from repro.serving import HTTPFrontend, ShardManager, WorkerSpec
+from repro.serving.frontend import MAX_BODY_BYTES
 
 from tests.serving.conftest import SUPPORTED, UNSUPPORTED
 
@@ -104,8 +107,6 @@ class TestTranslate:
         sees the 413, or a broken pipe if its send was still in
         flight — either way the oversized request never reaches a
         worker."""
-        from repro.serving.frontend import MAX_BODY_BYTES
-
         request = urllib.request.Request(
             frontend.address + "/translate",
             data=b"x" * (MAX_BODY_BYTES + 1),
@@ -459,5 +460,217 @@ class TestFrontendLifecycle:
         finally:
             stall.join(30.0)
             idle.close()
+            front.close()
+            manager.close()
+
+
+class _CountingSocket:
+    """A server-side connection that records the size of every
+    ``sendall`` (the handler's only write path)."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data, *args):
+        self._sends.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """A 1-shard tier (one pending slot) whose accepted connections
+    count their sends; ``sends[port]`` lists the sizes of every send on
+    the connection from client port ``port``."""
+    manager = ShardManager(
+        shards=1,
+        spec=WorkerSpec(cache_size=8, debug_ops=True),
+        start_method="thread",
+        max_pending=1,
+        retry_after=3.0,
+    )
+    front = HTTPFrontend(manager)
+    sends = defaultdict(list)
+    accept = front._server.get_request
+
+    def get_request():
+        sock, address = accept()
+        return _CountingSocket(sock, sends[address[1]]), address
+
+    front._server.get_request = get_request
+    yield front, manager, sends
+    front.close()
+    manager.close()
+
+
+def _exchange(front, method, path, body=None, headers=None):
+    """One request on a fresh connection: (response, its body, port)."""
+    conn = http.client.HTTPConnection(front.host, front.port, timeout=60)
+    try:
+        conn.connect()
+        port = conn.sock.getsockname()[1]
+        conn.request(method, path, body, headers or {})
+        response = conn.getresponse()
+        return response, response.read(), port
+    finally:
+        conn.close()
+
+
+def _json(payload) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestOneWritePerResponse:
+    """Headers and body leave in one send: written apart, Nagle holds
+    the body until the client's delayed ACK (~40 ms per request)."""
+
+    @pytest.mark.parametrize("method, path, body, headers, status", [
+        pytest.param("POST", "/translate", _json({"question": SUPPORTED[0]}),
+                     None, 200, id="translate-200"),
+        pytest.param("POST", "/translate", _json({"question": UNSUPPORTED}),
+                     None, 422, id="translate-422"),
+        pytest.param("POST", "/translate", _json({"nope": 1}), None, 400,
+                     id="bad-request-400"),
+        pytest.param("GET", "/nope", None, None, 404, id="not-found-404"),
+        pytest.param("GET", "/translate", None, None, 405,
+                     id="method-405"),
+        pytest.param("POST", "/translate", None,
+                     {"Content-Length": str(MAX_BODY_BYTES + 1)}, 413,
+                     id="too-large-413"),
+        pytest.param("GET", "/metrics", None, None, 200, id="metrics"),
+        pytest.param("GET", "/stats", None, None, 200, id="stats"),
+        pytest.param("GET", "/stats?format=panel", None, None, 200,
+                     id="stats-panel"),
+    ])
+    def test_response_is_one_send(self, counted, method, path, body,
+                                  headers, status):
+        front, _, sends = counted
+        response, raw, port = _exchange(front, method, path, body, headers)
+        assert response.status == status
+        assert raw
+        assert len(sends[port]) == 1, sends[port]
+
+    def test_shed_429_with_retry_after_is_one_send(self, counted):
+        front, manager, sends = counted
+        stall = threading.Thread(target=manager.debug_stall, args=(0, 1.0))
+        filler = threading.Thread(target=_exchange, args=(
+            front, "POST", "/translate", _json({"question": SUPPORTED[1]}),
+        ))
+        try:
+            stall.start()
+            time.sleep(0.1)
+            filler.start()
+            deadline = time.monotonic() + 30.0
+            while (
+                manager.health()[0]["pending"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            response, _, port = _exchange(
+                front, "POST", "/translate",
+                _json({"question": SUPPORTED[2]}),
+            )
+        finally:
+            stall.join(30.0)
+            filler.join(30.0)
+        assert response.status == 429
+        assert response.getheader("Retry-After") == "3"
+        assert len(sends[port]) == 1, sends[port]
+
+    def test_keepalive_requests_are_not_stalled(self, counted):
+        """30 back-to-back translations on one keep-alive connection:
+        each costs about a millisecond, not a delayed-ACK timeout."""
+        front, _, sends = counted
+        body = _json({"question": SUPPORTED[0]})
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=60)
+        elapsed = []
+        try:
+            conn.connect()
+            port = conn.sock.getsockname()[1]
+            for _ in range(31):  # the first one warms the shard's cache
+                started = time.perf_counter()
+                conn.request("POST", "/translate", body, headers)
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert not response.will_close
+        finally:
+            conn.close()
+        median_ms = statistics.median(elapsed[1:]) * 1000
+        assert median_ms < 10.0, f"median {median_ms:.1f} ms"
+        assert len(sends[port]) == 31
+
+
+class TestConnectionClose:
+    """A response the server closes the connection after says so, so a
+    keep-alive client reconnects instead of writing into a dead socket."""
+
+    @pytest.mark.parametrize("length, status", [
+        ("-5", 400),
+        ("banana", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_next_request_on_the_connection_succeeds(self, counted, length,
+                                                     status):
+        front = counted[0]
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=60)
+        try:
+            conn.putrequest("POST", "/translate")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            response.read()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+            conn.request(
+                "POST", "/translate", _json({"question": SUPPORTED[0]}),
+                {"Content-Type": "application/json"},
+            )
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
+    def test_response_during_drain_says_close(self):
+        manager = ShardManager(
+            shards=1,
+            spec=WorkerSpec(cache_size=0, debug_ops=True),
+            start_method="thread",
+        )
+        front = HTTPFrontend(manager)
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=60)
+        stall = threading.Thread(target=manager.debug_stall, args=(0, 2.0))
+        closer = threading.Thread(target=front.close)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            stall.start()
+            time.sleep(0.1)  # the stall now holds the shard
+            conn.request(
+                "POST", "/translate", _json({"question": SUPPORTED[0]}),
+                {"Content-Type": "application/json"},
+            )
+            deadline = time.monotonic() + 30.0
+            while (
+                manager.health()[0]["pending"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            closer.start()
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+        finally:
+            stall.join(30.0)
+            closer.join(30.0)
+            conn.close()
             front.close()
             manager.close()

@@ -36,6 +36,16 @@ NOT_FOR_WORKER = (
     "networkx",
 )
 
+#: Modules the ``--serve`` front end never calls: only its workers
+#: translate.
+NOT_FOR_FRONTEND = (
+    "repro.core",
+    "repro.nlp",
+    "repro.freya",
+    "repro.analysis",
+    "repro.service.service",
+)
+
 
 def loaded_after(code: str, watched) -> list[str]:
     """Run ``code`` in a fresh interpreter; the ``watched`` modules loaded."""
@@ -65,6 +75,14 @@ def test_translation_loads_no_crowd_eval_or_serving(code):
 
 def test_spawn_worker_loads_no_http_tier():
     assert loaded_after("import repro.serving.worker", NOT_FOR_WORKER) == []
+
+
+def test_serve_front_end_loads_no_translator():
+    code = """
+        import repro.__main__
+        from repro.serving import HTTPFrontend, ShardManager
+    """
+    assert loaded_after(code, NOT_FOR_FRONTEND) == []
 
 
 def test_crowd_draw_loads_numpy():

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import repro
+import repro.service
 import repro.serving
 
 
@@ -41,7 +42,7 @@ class TestPublicApi:
         assert all("x" in b for b in answers.bindings())
 
 
-@pytest.mark.parametrize("module", [repro, repro.serving],
+@pytest.mark.parametrize("module", [repro, repro.service, repro.serving],
                          ids=lambda m: m.__name__)
 class TestLazyExports:
     def test_star_import_binds_exactly_all(self, module):

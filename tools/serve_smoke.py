@@ -8,6 +8,8 @@ Starts ``python -m repro --serve --port 0 --shards 2 --metrics-out
 OUTDIR/final.prom`` and, over one keep-alive connection:
 
 * POSTs one question and requires an OASSIS-QL answer;
+* POSTs it 30 more times back to back and requires a median under
+  20 ms (a response stalled on the client's delayed ACK takes ~40 ms);
 * requires ``/stats`` to report the serving counter identity;
 * parses ``/metrics`` with the strict ``parse_prometheus_text`` and
   requires the ``serving_http_requests_total`` series and
@@ -27,6 +29,7 @@ import http.client
 import json
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -37,6 +40,8 @@ from repro.obs import parse_prometheus_text
 QUESTION = "Where do you visit in Buffalo?"
 DRAIN_SECONDS = 30.0
 STARTUP_SECONDS = 120.0
+KEEPALIVE_REQUESTS = 30
+KEEPALIVE_MEDIAN_MS = 20.0
 
 
 def _request_json(conn: http.client.HTTPConnection, method: str, path: str,
@@ -66,6 +71,23 @@ def _drive(server: subprocess.Popen, port: int, out: Path) -> str | None:
             "query", ""
         ).startswith("SELECT VARIABLES"):
             return f"POST /translate answered {status}: {reply}"
+        sock, elapsed = conn.sock, []
+        for _ in range(KEEPALIVE_REQUESTS):
+            started = time.perf_counter()
+            status, reply = _request_json(
+                conn, "POST", "/translate", {"question": QUESTION}
+            )
+            elapsed.append(time.perf_counter() - started)
+            if status != 200:
+                return f"keep-alive POST /translate answered {status}"
+        if conn.sock is not sock:
+            return "the server closed the keep-alive connection"
+        median_ms = statistics.median(elapsed) * 1000
+        if median_ms >= KEEPALIVE_MEDIAN_MS:
+            return (
+                f"keep-alive POST /translate median {median_ms:.1f} ms "
+                f"(limit {KEEPALIVE_MEDIAN_MS:.0f} ms)"
+            )
         status, stats = _request_json(conn, "GET", "/stats")
         if not stats.get("identity_holds") or (
             stats.get("requests") != stats.get("accounted")
@@ -99,7 +121,8 @@ def _drive(server: subprocess.Popen, port: int, out: Path) -> str | None:
         flushed, "nl2cm_requests_total"
     ):
         return "final.prom lacks the serving or shard-labelled series"
-    print(f"ok: shards {sorted(shards)} in /metrics and final.prom, "
+    print(f"ok: keep-alive /translate median {median_ms:.2f} ms, "
+          f"shards {sorted(shards)} in /metrics and final.prom, "
           f"exit 0 after SIGTERM with a keep-alive connection open")
     return None
 
